@@ -8,9 +8,16 @@
 //! speedups (VM over tree-walk, tier-2 over VM). Results land in a
 //! hand-rolled JSON report (`--out`, default `BENCH_exec.json`); the
 //! process exits non-zero if the VM speedup falls below `--min-speedup`,
-//! the tier-2-over-VM speedup falls below `--min-tier2-speedup`, or the
-//! disabled-observability overhead exceeds `--max-obs-overhead` (all
-//! CI regression gates).
+//! the tier-2-over-VM speedup falls below `--min-tier2-speedup`, the
+//! disabled-observability overhead exceeds `--max-obs-overhead`, or
+//! building the matrices' storage takes more than
+//! [`MAX_BUILD_OVER_BYTECODE`] times running them on the VM (all CI
+//! regression gates).
+//!
+//! The build column times what every figure cell and every fresh upload
+//! pays before any engine runs: `Triplets::try_to_coo_f64` +
+//! `SparseTensor::try_from_coo` (min of reps, `build_min_ms`;
+//! `build_mnnz_per_s` is input entries over that time).
 //!
 //! A further timing configuration re-runs the bytecode engine with the
 //! (disabled) span-recorder instrumentation exercised every rep — the
@@ -57,6 +64,12 @@ impl MemoryModel for CountModel {
         self.instructions += n;
     }
 }
+
+/// Gate: building every matrix's CSR storage may take at most this many
+/// times one bytecode-VM run of them (min-of-reps totals, one process, so
+/// the ratio is machine-independent). 19x before the O(nnz) assembly,
+/// under 3x with it.
+const MAX_BUILD_OVER_BYTECODE: f64 = 4.0;
 
 struct Args {
     size: SizeClass,
@@ -123,6 +136,11 @@ fn parse_args() -> Result<Args, String> {
 struct Row {
     name: String,
     nnz: usize,
+    /// Entries of the generated triplets (duplicates included): what the
+    /// build has to order and merge.
+    input_nnz: usize,
+    /// Min-of-reps `try_to_coo_f64` + `try_from_coo` time.
+    build_min_ms: f64,
     instructions: u64,
     tree_ms: f64,
     byte_ms: f64,
@@ -167,6 +185,9 @@ impl Row {
     /// VM have to run to match this wall-clock".
     fn mips(&self, ms: f64) -> f64 {
         self.instructions as f64 / (ms * 1e3)
+    }
+    fn build_mnnz_per_s(&self) -> f64 {
+        self.input_nnz as f64 / (self.build_min_ms * 1e3)
     }
 }
 
@@ -269,11 +290,17 @@ fn real_main() -> Result<(), String> {
     let mut rows: Vec<Row> = Vec::new();
     for m in synthetic_collection(args.size) {
         let tri = m.materialize();
-        let sparse = SparseTensor::try_from_coo(
-            &tri.try_to_coo_f64().map_err(|e| e.to_string())?,
-            Format::csr(),
-        )
-        .map_err(|e| e.to_string())?;
+        let build = || -> Result<SparseTensor, String> {
+            let coo = tri.try_to_coo_f64().map_err(|e| e.to_string())?;
+            SparseTensor::try_from_coo(&coo, Format::csr()).map_err(|e| e.to_string())
+        };
+        let mut build_min_ms = f64::INFINITY;
+        for _ in 0..args.reps {
+            let start = Instant::now();
+            std::hint::black_box(build()?);
+            build_min_ms = build_min_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+        let sparse = build()?;
         let ck = compile_cached(&spec, sparse.format(), sparse.index_width(), &strategy)
             .map_err(|e| e.to_string())?;
         let x: Vec<f64> = (0..tri.ncols)
@@ -347,6 +374,8 @@ fn real_main() -> Result<(), String> {
         let row = Row {
             name: m.name.clone(),
             nnz: sparse.nnz(),
+            input_nnz: tri.nnz(),
+            build_min_ms,
             instructions: tree_instr,
             tree_ms,
             byte_ms,
@@ -384,6 +413,10 @@ fn real_main() -> Result<(), String> {
     let governed_min_total: f64 = rows.iter().map(|r| r.governed_min_ms).sum();
     let tier2_min_total: f64 = rows.iter().map(|r| r.tier2_min_ms).sum();
     let obs_min_total: f64 = rows.iter().map(|r| r.obs_min_ms).sum();
+    let build_min_total: f64 = rows.iter().map(|r| r.build_min_ms).sum();
+    let input_nnz_total: usize = rows.iter().map(|r| r.input_nnz).sum();
+    let build_mnnz_per_s = input_nnz_total as f64 / (build_min_total * 1e3);
+    let build_over_bytecode = build_min_total / byte_min_total;
     let instr_total: u64 = rows.iter().map(|r| r.instructions).sum();
     let speedup = tree_total / byte_total;
     let tier2_speedup = byte_min_total / tier2_min_total;
@@ -410,6 +443,11 @@ fn real_main() -> Result<(), String> {
         "observability: dormant instrumentation {obs_min_total:.1} ms vs {byte_min_total:.1} ms \
          (min-of-reps), overhead {:+.1}% (contract: <2% when the recorder is off)",
         100.0 * obs_overhead
+    );
+    println!(
+        "storage build: COO -> CSR {build_min_total:.1} ms vs bytecode {byte_min_total:.1} ms \
+         (min-of-reps), {build_over_bytecode:.2}x one VM run (gate: <= {MAX_BUILD_OVER_BYTECODE}x), \
+         {build_mnnz_per_s:.1} Mnnz/s"
     );
     println!(
         "compile cache: {} hits, {} misses ({} tier-2-specialized hits, {} misses), \
@@ -440,6 +478,8 @@ fn real_main() -> Result<(), String> {
                 .raw("budgeted_min_ms", &format!("{:.3}", r.governed_min_ms))
                 .raw("tier2_min_ms", &format!("{:.3}", r.tier2_min_ms))
                 .raw("obs_min_ms", &format!("{:.3}", r.obs_min_ms))
+                .raw("build_min_ms", &format!("{:.3}", r.build_min_ms))
+                .raw("build_mnnz_per_s", &format!("{:.1}", r.build_mnnz_per_s()))
                 .raw("tree_walk_mips", &format!("{:.1}", r.mips(r.tree_ms)))
                 .raw("bytecode_mips", &format!("{:.1}", r.mips(r.byte_ms)))
                 .raw("tier2_mips", &format!("{:.1}", r.mips(r.tier2_ms)))
@@ -461,6 +501,8 @@ fn real_main() -> Result<(), String> {
             .raw("budgeted_min_ms", &format!("{governed_min_total:.3}"))
             .raw("tier2_min_ms", &format!("{tier2_min_total:.3}"))
             .raw("obs_min_ms", &format!("{obs_min_total:.3}"))
+            .raw("build_min_ms", &format!("{build_min_total:.3}"))
+            .raw("build_mnnz_per_s", &format!("{build_mnnz_per_s:.1}"))
             .raw(
                 "tree_walk_mips",
                 &format!("{:.1}", instr_total as f64 / (tree_total * 1e3)),
@@ -512,6 +554,12 @@ fn real_main() -> Result<(), String> {
         return Err(format!(
             "aggregate tier-2 speedup {tier2_speedup:.3} over the VM below required {:.3}",
             args.min_tier2_speedup
+        ));
+    }
+    if build_over_bytecode > MAX_BUILD_OVER_BYTECODE {
+        return Err(format!(
+            "storage build {build_min_total:.1} ms is {build_over_bytecode:.2}x the bytecode run \
+             {byte_min_total:.1} ms, above the allowed {MAX_BUILD_OVER_BYTECODE}x"
         ));
     }
     if obs_overhead > args.max_obs_overhead {

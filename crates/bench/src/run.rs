@@ -242,6 +242,11 @@ fn warning_strings(ck: &CompiledKernel) -> Vec<String> {
     ck.warnings.iter().map(|w| w.to_string()).collect()
 }
 
+/// The CSR build every figure cell starts with.
+fn to_csr(tri: &Triplets) -> Result<SparseTensor, AsapError> {
+    SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())
+}
+
 /// Single-threaded SpMV of `tri` under the given variant and hardware
 /// prefetcher configuration. The result is verified against the dense
 /// reference.
@@ -256,27 +261,17 @@ pub fn run_spmv(
     hw_name: &str,
     cfg: GracemontConfig,
 ) -> Result<ExperimentResult, AsapError> {
-    let sparse = SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())?;
-    let ck = compile_spmv(&sparse, variant)?;
-    let x = x_vector(tri.ncols);
-    let mut machine = Machine::new(cfg, pf);
-    let y = asap_core::run_spmv_f64_with(&ck, &sparse, &x, &mut machine)?;
-    verify_close(&y, &tri.dense_spmv(&x), name)?;
-    let dram = machine.dram_bytes_total();
-    Ok(result_from(
+    run_spmv_budgeted(
+        tri,
         name,
         group,
         unstructured,
-        "spmv",
         variant,
+        pf,
         hw_name,
-        1,
-        sparse.nnz(),
-        &cfg,
-        machine.counters(),
-        dram,
-        warning_strings(&ck),
-    ))
+        cfg,
+        &Budget::unlimited(),
+    )
 }
 
 /// [`run_spmv`] under a resource [`Budget`]: fuel exhaustion, a missed
@@ -295,7 +290,7 @@ pub fn run_spmv_budgeted(
     cfg: GracemontConfig,
     budget: &Budget,
 ) -> Result<ExperimentResult, AsapError> {
-    let sparse = SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())?;
+    let sparse = to_csr(tri)?;
     let ck = compile_spmv(&sparse, variant)?;
     let x = x_vector(tri.ncols);
     let mut machine = Machine::new(cfg, pf);
@@ -332,7 +327,35 @@ pub fn run_spmm(
     hw_name: &str,
     cfg: GracemontConfig,
 ) -> Result<ExperimentResult, AsapError> {
-    let sparse = SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())?;
+    run_spmm_budgeted(
+        tri,
+        name,
+        group,
+        unstructured,
+        n_cols,
+        variant,
+        pf,
+        hw_name,
+        cfg,
+        &Budget::unlimited(),
+    )
+}
+
+/// [`run_spmm`] under a resource [`Budget`] (see [`run_spmv_budgeted`]).
+#[allow(clippy::too_many_arguments)]
+pub fn run_spmm_budgeted(
+    tri: &Triplets,
+    name: &str,
+    group: &str,
+    unstructured: bool,
+    n_cols: usize,
+    variant: Variant,
+    pf: PrefetcherConfig,
+    hw_name: &str,
+    cfg: GracemontConfig,
+    budget: &Budget,
+) -> Result<ExperimentResult, AsapError> {
+    let sparse = to_csr(tri)?;
     let spec = KernelSpec::spmm(ValueKind::F64);
     let ck = compile_cached(
         &spec,
@@ -347,7 +370,7 @@ pub fn run_spmm(
             .collect(),
     );
     let mut machine = Machine::new(cfg, pf);
-    let a = asap_core::run_spmm_f64_with(&ck, &sparse, &c, &mut machine)?;
+    let a = asap_core::run_spmm_f64_budgeted(&ck, &sparse, &c, &mut machine, budget)?;
     // Spot-verify one column against the SpMV reference.
     let col0: Vec<f64> = (0..tri.ncols).map(|j| c.as_f64()[j * n_cols]).collect();
     let a0: Vec<f64> = (0..tri.nrows).map(|i| a.as_f64()[i * n_cols]).collect();
@@ -369,67 +392,23 @@ pub fn run_spmm(
     ))
 }
 
-/// [`run_spmm`] under a resource [`Budget`] (see [`run_spmv_budgeted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_spmm_budgeted(
-    tri: &Triplets,
-    name: &str,
-    group: &str,
-    unstructured: bool,
-    n_cols: usize,
-    variant: Variant,
-    pf: PrefetcherConfig,
-    hw_name: &str,
-    cfg: GracemontConfig,
-    budget: &Budget,
-) -> Result<ExperimentResult, AsapError> {
-    let sparse = SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())?;
-    let spec = KernelSpec::spmm(ValueKind::F64);
-    let ck = compile_cached(
-        &spec,
-        sparse.format(),
-        sparse.index_width(),
-        &variant.strategy(),
-    )?;
-    let c = DenseTensor::from_f64(
-        vec![tri.ncols, n_cols],
-        (0..tri.ncols * n_cols)
-            .map(|i| 0.5 + (i % 17) as f64 * 0.0625)
-            .collect(),
-    );
-    let mut machine = Machine::new(cfg, pf);
-    let a = asap_core::run_spmm_f64_budgeted(&ck, &sparse, &c, &mut machine, budget)?;
-    let col0: Vec<f64> = (0..tri.ncols).map(|j| c.as_f64()[j * n_cols]).collect();
-    let a0: Vec<f64> = (0..tri.nrows).map(|i| a.as_f64()[i * n_cols]).collect();
-    verify_close(&a0, &tri.dense_spmv(&col0), name)?;
-    let dram = machine.dram_bytes_total();
-    Ok(result_from(
-        name,
-        group,
-        unstructured,
-        "spmm",
-        variant,
-        hw_name,
-        1,
-        sparse.nnz(),
-        &cfg,
-        machine.counters(),
-        dram,
-        warning_strings(&ck),
-    ))
-}
-
-/// Slice rows `[r0, r1)` of a matrix into a standalone sub-matrix.
-fn row_slice(tri: &Triplets, r0: usize, r1: usize) -> Triplets {
-    let mut s = Triplets::new(r1 - r0, tri.ncols);
-    s.binary = tri.binary;
+/// Slice the contiguous row ranges `parts` (as [`partition_rows`] cuts
+/// them) into standalone sub-matrices, in one pass over the entries.
+fn row_slices(tri: &Triplets, parts: &[(usize, usize)]) -> Vec<Triplets> {
+    let mut slices: Vec<Triplets> = parts
+        .iter()
+        .map(|&(r0, r1)| {
+            let mut s = Triplets::new(r1 - r0, tri.ncols);
+            s.binary = tri.binary;
+            s
+        })
+        .collect();
     for i in 0..tri.nnz() {
         let r = tri.rows[i];
-        if r >= r0 && r < r1 {
-            s.push(r - r0, tri.cols[i], tri.vals[i]);
-        }
+        let p = parts.partition_point(|&(_, r1)| r1 <= r);
+        slices[p].push(r - parts[p].0, tri.cols[i], tri.vals[i]);
     }
-    s
+    slices
 }
 
 /// Split rows into `n` contiguous chunks of roughly equal nnz.
@@ -551,9 +530,8 @@ pub fn run_spmv_threads(
 
     let mut warnings = Vec::new();
     let mut prepared: Vec<std::sync::Mutex<Option<Prepared>>> = Vec::with_capacity(parts.len());
-    for &(r0, r1) in &parts {
-        let slice = row_slice(tri, r0, r1);
-        let sparse = SparseTensor::try_from_coo(&slice.try_to_coo_f64()?, Format::csr())?;
+    for (&(r0, r1), slice) in parts.iter().zip(row_slices(tri, &parts)) {
+        let sparse = to_csr(&slice)?;
         let ck = compile_spmv(&sparse, variant)?;
         let xt = DenseTensor::from_f64(vec![tri.ncols], x.clone());
         let out = DenseTensor::zeros(ValueKind::F64, vec![r1 - r0]);
@@ -615,9 +593,8 @@ pub fn run_spmm_threads(
 
     let mut warnings = Vec::new();
     let mut prepared: Vec<std::sync::Mutex<Option<Prepared>>> = Vec::with_capacity(parts.len());
-    for &(r0, r1) in &parts {
-        let slice = row_slice(tri, r0, r1);
-        let sparse = SparseTensor::try_from_coo(&slice.try_to_coo_f64()?, Format::csr())?;
+    for (&(r0, r1), slice) in parts.iter().zip(row_slices(tri, &parts)) {
+        let sparse = to_csr(&slice)?;
         let ck = compile_cached(
             &spec,
             sparse.format(),

@@ -110,23 +110,35 @@ impl From<MmioError> for AsapError {
 }
 
 /// Parse a MatrixMarket stream.
-pub fn read_matrix_market(r: impl BufRead) -> Result<Triplets, MmioError> {
-    let mut lines = r.lines();
+pub fn read_matrix_market(mut r: impl BufRead) -> Result<Triplets, MmioError> {
+    // One reused buffer for every line of the stream.
+    let mut line = String::new();
     let mut lineno = 0usize;
-    let io_err = |lineno: usize, e: std::io::Error| MmioError::Io {
-        line: lineno,
-        message: e.to_string(),
+    let mut next_line = |line: &mut String, lineno: &mut usize| -> Result<bool, MmioError> {
+        line.clear();
+        match r.read_line(line) {
+            Ok(0) => Ok(false),
+            Ok(_) => {
+                *lineno += 1;
+                Ok(true)
+            }
+            Err(e) => Err(MmioError::Io {
+                line: *lineno + 1,
+                message: e.to_string(),
+            }),
+        }
     };
 
-    lineno += 1;
-    let header = match lines.next() {
-        None => {
-            return Err(MmioError::BadHeader {
-                header: "<empty input>".into(),
-            })
-        }
-        Some(l) => l.map_err(|e| io_err(lineno, e))?,
-    };
+    if !next_line(&mut line, &mut lineno)? {
+        return Err(MmioError::BadHeader {
+            header: "<empty input>".into(),
+        });
+    }
+    // As `BufRead::lines` would hand it over: without its line ending.
+    let header = line
+        .strip_suffix('\n')
+        .map_or(line.as_str(), |l| l.strip_suffix('\r').unwrap_or(l))
+        .to_string();
     let fields: Vec<String> = header
         .split_whitespace()
         .map(|s| s.to_lowercase())
@@ -163,9 +175,7 @@ pub fn read_matrix_market(r: impl BufRead) -> Result<Triplets, MmioError> {
 
     // Skip comments, read the size line.
     let mut size_line = None;
-    for line in lines.by_ref() {
-        lineno += 1;
-        let line = line.map_err(|e| io_err(lineno, e))?;
+    while next_line(&mut line, &mut lineno)? {
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -216,13 +226,18 @@ pub fn read_matrix_market(r: impl BufRead) -> Result<Triplets, MmioError> {
 
     let mut t = Triplets::new(nrows, ncols);
     t.binary = pattern;
+    // The size line may lie: reserve for what it declares only up to a
+    // constant, and let a longer (real) entry section grow the rest.
+    const RESERVE_CAP: usize = 1 << 20;
+    let expect = (if symmetric { 2 * nnz } else { nnz }).min(RESERVE_CAP);
+    t.rows.reserve(expect);
+    t.cols.reserve(expect);
+    t.vals.reserve(expect);
     // Repeated (row, col) pairs are accepted: `Triplets` allows duplicates
     // and downstream COO→storage conversion accumulates them, matching the
     // SuiteSparse convention.
     let mut read = 0usize;
-    for line in lines {
-        lineno += 1;
-        let line = line.map_err(|e| io_err(lineno, e))?;
+    while next_line(&mut line, &mut lineno)? {
         let s = line.trim();
         if s.is_empty() || s.starts_with('%') {
             continue;

@@ -50,16 +50,7 @@ impl Triplets {
     /// out-of-range coordinates as a typed storage error instead of
     /// panicking (degenerate inputs from the fuzz harness reach this).
     pub fn try_to_coo_f64(&self) -> Result<asap_tensor::CooTensor, asap_ir::AsapError> {
-        let mut coords = Vec::with_capacity(self.nnz() * 2);
-        for (&r, &c) in self.rows.iter().zip(&self.cols) {
-            coords.push(r);
-            coords.push(c);
-        }
-        asap_tensor::CooTensor::try_new(
-            vec![self.nrows, self.ncols],
-            coords,
-            asap_tensor::Values::F64(self.vals.clone()),
-        )
+        self.try_to_coo_with(asap_tensor::Values::F64(self.vals.clone()))
     }
 
     /// Convert to a boolean (i8) [`asap_tensor::CooTensor`]: any non-zero
@@ -73,16 +64,33 @@ impl Triplets {
 
     /// Fallible variant of [`to_coo_i8`](Triplets::to_coo_i8).
     pub fn try_to_coo_i8(&self) -> Result<asap_tensor::CooTensor, asap_ir::AsapError> {
-        let mut coords = Vec::with_capacity(self.nnz() * 2);
+        self.try_to_coo_with(asap_tensor::Values::I8(
+            self.vals.iter().map(|&v| (v != 0.0) as i8).collect(),
+        ))
+    }
+
+    /// The pass both value kinds share: interleave `rows`/`cols` into
+    /// rank-2 coordinates, checking each against the shape on the way.
+    fn try_to_coo_with(
+        &self,
+        values: asap_tensor::Values,
+    ) -> Result<asap_tensor::CooTensor, asap_ir::AsapError> {
+        let dims = vec![self.nrows, self.ncols];
+        let mut coords = Vec::with_capacity(2 * self.nnz());
+        let mut in_bounds = true;
         for (&r, &c) in self.rows.iter().zip(&self.cols) {
-            coords.push(r);
-            coords.push(c);
+            in_bounds &= r < self.nrows && c < self.ncols;
+            coords.extend_from_slice(&[r, c]);
         }
-        asap_tensor::CooTensor::try_new(
-            vec![self.nrows, self.ncols],
-            coords,
-            asap_tensor::Values::I8(self.vals.iter().map(|&v| (v != 0.0) as i8).collect()),
-        )
+        if in_bounds && coords.len() == 2 * values.len() {
+            return Ok(asap_tensor::CooTensor {
+                dims,
+                coords,
+                values,
+            });
+        }
+        // Invalid somewhere: `try_new` finds the entry and words the error.
+        asap_tensor::CooTensor::try_new(dims, coords, values)
     }
 
     /// The natural COO form for this matrix's value kind.

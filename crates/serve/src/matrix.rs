@@ -20,6 +20,7 @@
 //! Binary (pattern) matrices get the CLI's deterministic devaluation so
 //! a served result is comparable to `asap_cli --gen` on the same spec.
 
+use crate::request::RunReject;
 use asap_ir::AsapError;
 use asap_matrices::{gen, read_matrix_market, synthetic_collection, SizeClass, Triplets};
 use asap_tensor::{Format, SparseTensor};
@@ -105,9 +106,30 @@ impl MatrixCatalog {
     }
 
     /// Build a tensor from inline MatrixMarket text. Uncached.
-    pub fn resolve_inline(&self, mtx: &str) -> Result<Arc<SparseTensor>, AsapError> {
-        let tri = read_matrix_market(std::io::Cursor::new(mtx.as_bytes()))
+    ///
+    /// The size line is the client's word: a one-entry body may declare
+    /// 2^40 rows, and a CSR dense level costs `O(rows)`. So the parsed
+    /// triplets' CSR footprint is held against `max_bytes` — what the
+    /// store would admit and the execution budget would bind — *before*
+    /// any storage is built, and over it the answer is the same typed
+    /// 413 as a refused admission.
+    pub fn resolve_inline(
+        &self,
+        mtx: &str,
+        max_bytes: u64,
+    ) -> Result<Arc<SparseTensor>, RunReject> {
+        let mut tri = read_matrix_market(std::io::Cursor::new(mtx.as_bytes()))
             .map_err(|e| AsapError::binding(format!("inline matrix: {e}")))?;
+        // Weighed as it will be stored: pattern entries get f64 values.
+        devalue_binary(&mut tri);
+        let bytes = tri.footprint_bytes() as u64;
+        if bytes > max_bytes {
+            asap_obs::counter_inc("serve.store.rejected_oversized");
+            return Err(RunReject::Oversized(format!(
+                "inline matrix needs {bytes} bytes as CSR, over the {max_bytes}-byte limit \
+                 for one matrix"
+            )));
+        }
         Ok(Arc::new(to_csr(tri)?))
     }
 
@@ -256,13 +278,19 @@ mod tests {
     fn inline_mtx_resolves_but_is_not_cached() {
         let cat = MatrixCatalog::new(SizeClass::Tiny);
         let mtx = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 2.0\n3 2 -1.5\n";
-        let t = cat.resolve_inline(mtx).unwrap();
+        let t = cat.resolve_inline(mtx, u64::MAX).unwrap();
         assert_eq!(t.dims(), &[3, 3]);
         assert_eq!(t.nnz(), 2);
         assert_eq!(cat.cached_len(), 0);
         assert_eq!(
-            cat.resolve_inline("not a matrix").unwrap_err().kind(),
+            cat.resolve_inline("not a matrix", u64::MAX)
+                .unwrap_err()
+                .kind(),
             "binding"
         );
+        // A size line the footprint gate refuses: nothing is built.
+        let huge = "%%MatrixMarket matrix coordinate real general\n1099511627776 1 1\n1 1 1.0\n";
+        let e = cat.resolve_inline(huge, 1 << 20).unwrap_err();
+        assert_eq!((e.status(), e.kind()), (413, "store"), "{}", e.message());
     }
 }

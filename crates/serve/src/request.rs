@@ -207,15 +207,24 @@ fn resolve_inline(ctx: &RequestCtx, text: &str) -> Result<Resident, RunReject> {
     if !ctx.allow_inline {
         return Err(RunReject::Brownout);
     }
+    // What a built matrix may weigh: the store's per-entry limit and,
+    // when set, the execution byte budget it would be bound under.
+    let exec_limit = if ctx.exec_bytes > 0 {
+        ctx.exec_bytes
+    } else {
+        u64::MAX
+    };
+    let max_bytes = ctx.store.entry_limit().min(exec_limit);
     ctx.timed_store(|| {
         if !ctx.store.enabled() {
-            return Ok(Resident::unmanaged(ctx.catalog.resolve_inline(text)?));
+            let tensor = ctx.catalog.resolve_inline(text, max_bytes)?;
+            return Ok(Resident::unmanaged(tensor));
         }
         let key = format!("mtx:{:016x}", asap_core::fingerprint64(text.as_bytes()));
         if let Some(r) = ctx.store.lookup(&key) {
             return Ok(r);
         }
-        let tensor = ctx.catalog.resolve_inline(text)?;
+        let tensor = ctx.catalog.resolve_inline(text, max_bytes)?;
         Ok(ctx.store.admit(&key, tensor, ctx.tenant)?)
     })
 }

@@ -34,8 +34,10 @@
 //! 2. per-tenant token bucket — empty 429 + computed `Retry-After`;
 //! 3. brownout — under queue pressure, first refuse inline-`.mtx`
 //!    uploads (level 1), then shed lowest-weight tenants (level 2);
-//! 4. parse + matrix residency — store admission failures are typed
-//!    413/429 on the tenant's own account;
+//! 4. parse + matrix residency — an inline matrix whose declared shape
+//!    alone outweighs the store's per-entry limit is a 413 before any
+//!    storage is built; store admission failures are typed 413/429 on
+//!    the tenant's own account;
 //! 5. lane submit — a full tenant lane is that tenant's 429; the
 //!    global job cap is everyone's.
 //!

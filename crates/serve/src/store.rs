@@ -166,6 +166,17 @@ impl MatrixStore {
         self.shard_ceiling > 0
     }
 
+    /// The largest entry [`admit`](MatrixStore::admit) accepts, for
+    /// callers that can size a matrix before building it; `u64::MAX`
+    /// when the store is disabled and admits nothing anyway.
+    pub fn entry_limit(&self) -> u64 {
+        if self.enabled() {
+            self.shard_ceiling
+        } else {
+            u64::MAX
+        }
+    }
+
     fn shard_of(&self, key: &str) -> usize {
         (asap_core::fingerprint64(key.as_bytes()) % STORE_SHARDS as u64) as usize
     }

@@ -39,11 +39,7 @@ impl CooTensor {
     ) -> Result<CooTensor, AsapError> {
         let rank = dims.len();
         if coords.len() != values.len() * rank {
-            return Err(AsapError::storage(format!(
-                "coords/values mismatch: {} coordinates for {} values of rank {rank}",
-                coords.len(),
-                values.len()
-            )));
+            return Err(coords_values_mismatch(coords.len(), values.len(), rank));
         }
         let t = CooTensor {
             dims,
@@ -51,14 +47,7 @@ impl CooTensor {
             values,
         };
         for i in 0..t.nnz() {
-            for (d, &c) in t.coord(i).iter().enumerate() {
-                if c >= t.dims[d] {
-                    return Err(AsapError::storage(format!(
-                        "entry {i}: coordinate {c} out of bounds in dim {d} (size {})",
-                        t.dims[d]
-                    )));
-                }
-            }
+            check_in_bounds(i, t.coord(i), &t.dims)?;
         }
         Ok(t)
     }
@@ -76,6 +65,120 @@ impl CooTensor {
         let r = self.rank();
         &self.coords[i * r..(i + 1) * r]
     }
+}
+
+fn coords_values_mismatch(coords: usize, values: usize, rank: usize) -> AsapError {
+    AsapError::storage(format!(
+        "coords/values mismatch: {coords} coordinates for {values} values of rank {rank}"
+    ))
+}
+
+fn check_in_bounds(i: usize, coord: &[usize], dims: &[usize]) -> Result<(), AsapError> {
+    for (d, (&c, &size)) in coord.iter().zip(dims).enumerate() {
+        if c >= size {
+            return Err(AsapError::storage(format!(
+                "entry {i}: coordinate {c} out of bounds in dim {d} (size {size})"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Make room in a compressed level's `pos` for the boundaries of
+/// `parents` segments — the one buffer that can scale with an extent
+/// instead of with nnz, so a refused allocation is a typed error, not an
+/// abort.
+fn reserve_pos(pos: &mut Vec<usize>, parents: usize, l: usize) -> Result<(), AsapError> {
+    let reserved = parents
+        .checked_add(1)
+        .is_some_and(|len| pos.try_reserve(len.saturating_sub(pos.len())).is_ok());
+    if reserved {
+        Ok(())
+    } else {
+        Err(AsapError::storage(format!(
+            "level {l}: cannot allocate a pos buffer for {parents} parent nodes"
+        )))
+    }
+}
+
+/// Extend `pos` up to the start of segment `upto`; every segment this
+/// skips is empty at `at`, the current end of the level's `crd`.
+fn close_segments(pos: &mut Vec<usize>, upto: usize, at: usize, l: usize) -> Result<(), AsapError> {
+    reserve_pos(pos, upto, l)?;
+    pos.resize(upto + 1, at);
+    Ok(())
+}
+
+fn node_index_overflow(l: usize) -> AsapError {
+    AsapError::storage(format!(
+        "level {l}: dense level has more nodes than an index can address"
+    ))
+}
+
+/// A level is ordered by a counting pass while its extent is at most this
+/// many times the entry count, so the histogram never outweighs the
+/// entries; past it (a hyper-sparse dimension) by comparison.
+const COUNTING_EXTENT_PER_ENTRY: usize = 8;
+
+/// Step 1 of [`SparseTensor::try_from_coo`]: the stable permutation that
+/// visits `coo`'s entries in lexicographic order of their *level*
+/// coordinates (`lvl_dim[l]` is the tensor dimension of level `l`), or
+/// `None` when the entries already are in that order. Equal coordinates
+/// keep their input order — the contract that makes duplicate
+/// accumulation, and so every checksum downstream, independent of the
+/// sorting method. Also checks every coordinate against `coo.dims`.
+///
+/// `O(rank · (nnz + extent))`: an LSD radix sort with one counting pass
+/// per level, last level first. From the first level whose extent dwarfs
+/// `nnz` down to the last, one in-place comparison sort stands in for the
+/// counting passes (the entry index breaks ties, which is stability).
+fn level_order(coo: &CooTensor, lvl_dim: &[usize]) -> Result<Option<Vec<usize>>, AsapError> {
+    let (rank, nnz) = (coo.rank(), coo.nnz());
+    let cmp_from = |first: usize, a: usize, b: usize| {
+        let (a, b) = (coo.coord(a), coo.coord(b));
+        lvl_dim[first..]
+            .iter()
+            .map(|&d| a[d].cmp(&b[d]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let mut sorted = true;
+    for i in 0..nnz {
+        check_in_bounds(i, coo.coord(i), &coo.dims)?;
+        sorted = sorted && (i == 0 || cmp_from(0, i - 1, i).is_le());
+    }
+    if sorted {
+        return Ok(None);
+    }
+
+    let mut order: Vec<usize> = (0..nnz).collect();
+    let counted = lvl_dim
+        .iter()
+        .position(|&d| coo.dims[d] / COUNTING_EXTENT_PER_ENTRY > nnz)
+        .unwrap_or(rank);
+    if counted < rank {
+        order.sort_unstable_by(|&a, &b| cmp_from(counted, a, b).then(a.cmp(&b)));
+    }
+    let mut scratch = vec![0usize; if counted > 0 { nnz } else { 0 }];
+    let mut starts: Vec<usize> = Vec::new();
+    for &d in lvl_dim[..counted].iter().rev() {
+        let key = |i: usize| coo.coords[i * rank + d];
+        starts.clear();
+        starts.resize(coo.dims[d] + 1, 0);
+        for &i in &order {
+            starts[key(i) + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        for &i in &order {
+            let slot = &mut starts[key(i)];
+            scratch[*slot] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut scratch);
+    }
+    Ok(Some(order))
 }
 
 /// Per-level serialized buffers.
@@ -123,8 +226,15 @@ impl SparseTensor {
 
     /// Build from coordinate form. Entries may be unsorted and contain
     /// duplicates; duplicates are combined with the value kind's additive
-    /// op (`+` / `|`). Returns a typed error if the tensor's rank does not
-    /// match the format or the entries violate a level type's requirements.
+    /// op (`+` / `|`) in input order, so an order-dependent f64 sum does
+    /// not depend on how the other entries are arranged. Returns a typed
+    /// error if the tensor's rank does not match the format, a coordinate
+    /// is out of range, the entries violate a level type's requirements,
+    /// or a `pos` buffer cannot be allocated.
+    ///
+    /// Two linear steps (DESIGN.md §3.6): [`level_order`] finds the stable
+    /// level-lexicographic permutation, then the entries are streamed in
+    /// that order straight into each level's `pos`/`crd`.
     pub fn try_from_coo(coo: &CooTensor, format: Format) -> Result<SparseTensor, AsapError> {
         if coo.rank() != format.rank() {
             return Err(AsapError::storage(format!(
@@ -134,103 +244,159 @@ impl SparseTensor {
             )));
         }
         let rank = coo.rank();
+        if rank == 0 {
+            return Err(AsapError::storage("a rank-0 tensor has no storage levels"));
+        }
         let nnz = coo.nnz();
+        // `CooTensor`'s fields are public, so what `try_new` checked is
+        // re-established here (and in `level_order`) before indexing.
+        if coo.coords.len() != nnz * rank {
+            return Err(coords_values_mismatch(coo.coords.len(), nnz, rank));
+        }
+        let types = format.levels();
+        let lvl_dim: Vec<usize> = (0..rank).map(|l| format.dim_of_level(l)).collect();
+        let extent: Vec<usize> = lvl_dim.iter().map(|&d| coo.dims[d]).collect();
 
-        // Order entries lexicographically by *level* coordinates.
-        let mut order: Vec<usize> = (0..nnz).collect();
-        let lvl_key = |i: usize| -> Vec<usize> {
-            (0..rank)
-                .map(|l| coo.coord(i)[format.dim_of_level(l)])
-                .collect()
-        };
-        order.sort_by_key(|&i| lvl_key(i));
+        let order = level_order(coo, &lvl_dim)?;
+        let entry = |k: usize| order.as_ref().map_or(k, |o| o[k]);
 
-        // Deduplicate, accumulating values; store level-ordered coords.
-        let mut lvl_coords: Vec<usize> = Vec::with_capacity(nnz * rank);
-        let mut values = Values::empty(coo.values.kind());
-        for &i in &order {
-            let key = lvl_key(i);
-            let dup = !values.is_empty() && lvl_coords[lvl_coords.len() - rank..] == key[..];
-            if dup {
-                values.accumulate_last(&coo.values, i);
-            } else {
-                lvl_coords.extend_from_slice(&key);
-                values.push_from(&coo.values, i);
+        // Below a non-unique or singleton level every entry has a parent
+        // node of its own.
+        let mut own_parent = vec![false; rank];
+        let mut levels = vec![LevelStorage::default(); rank];
+        // Node count of the level above, while every ancestor is dense.
+        let mut dense_parents = Some(1usize);
+        for l in 0..rank {
+            own_parent[l] = l > 0
+                && (own_parent[l - 1]
+                    || matches!(
+                        types[l - 1],
+                        LevelType::Singleton | LevelType::Compressed { unique: false, .. }
+                    ));
+            let st = &mut levels[l];
+            if types[l].has_crd() {
+                // At most one node per entry; what duplicates and shared
+                // prefixes leave over is never touched.
+                st.crd.reserve_exact(nnz);
+            }
+            match types[l] {
+                LevelType::Dense => {
+                    dense_parents = dense_parents.and_then(|p| p.checked_mul(extent[l]));
+                }
+                LevelType::Compressed { .. } => {
+                    // Under dense ancestors `pos` scales with their
+                    // extents, not with nnz: size it now, fallibly.
+                    if let Some(parents) = dense_parents.take() {
+                        reserve_pos(&mut st.pos, parents, l)?;
+                    }
+                    st.pos.push(0);
+                }
+                LevelType::Singleton => dense_parents = None,
             }
         }
-        let n = values.len();
 
-        // Serialize level by level. `segments` are ranges of entries under
-        // each node of the previous level (root: one segment of all).
-        #[allow(clippy::single_range_in_vec_init)] // really one Range, not vec![0; n]
-        let mut segments: Vec<Range<usize>> = vec![0..n];
-        let mut levels: Vec<LevelStorage> = Vec::with_capacity(rank);
+        // Stream the entries in level order, appending to every level.
+        let mut values = Values::with_capacity(coo.values.kind(), nnz);
+        // Singleton levels: entries under the current parent, the parent
+        // due next, and the first violation (lowest level, then first
+        // parent) as `(level, entries under that parent)`.
+        let mut run = vec![1usize; rank];
+        let mut next_parent = vec![0usize; rank];
+        let mut overfull: Option<(usize, usize)> = None;
+        let mut note = |l: usize, got: usize| {
+            if overfull.is_none_or(|(seen, _)| l < seen) {
+                overfull = Some((l, got));
+            }
+        };
+        let mut prev: &[usize] = &[];
+        for k in 0..nnz {
+            let i = entry(k);
+            let c = coo.coord(i);
+            // First level at which this entry leaves its predecessor's
+            // path: `rank` for a duplicate.
+            let d = if k == 0 {
+                0
+            } else {
+                lvl_dim
+                    .iter()
+                    .position(|&t| c[t] != prev[t])
+                    .unwrap_or(rank)
+            };
+            if d == rank {
+                values.accumulate_last(&coo.values, i);
+                continue;
+            }
+            values.push_from(&coo.values, i);
+            prev = c;
+            let mut parent = 0usize;
+            for l in 0..rank {
+                let x = c[lvl_dim[l]];
+                let st = &mut levels[l];
+                parent = match types[l] {
+                    LevelType::Dense => parent
+                        .checked_mul(extent[l])
+                        .and_then(|p| p.checked_add(x))
+                        .ok_or_else(|| node_index_overflow(l))?,
+                    LevelType::Compressed { unique, .. } => {
+                        if !unique || own_parent[l] || d <= l {
+                            if st.pos.len() <= parent {
+                                close_segments(&mut st.pos, parent, st.crd.len(), l)?;
+                            }
+                            st.crd.push(x);
+                        }
+                        st.crd.len() - 1
+                    }
+                    LevelType::Singleton => {
+                        if own_parent[l] || d < l || k == 0 {
+                            if run[l] != 1 {
+                                note(l, run[l]);
+                            }
+                            if parent != next_parent[l] {
+                                note(l, 0);
+                            }
+                            run[l] = 1;
+                            next_parent[l] = parent + 1;
+                            st.crd.push(x);
+                        } else {
+                            run[l] += 1;
+                        }
+                        parent
+                    }
+                };
+            }
+        }
+
+        // Close what is still open, now that every level's node count
+        // (`parents`, for the level below it) is known.
+        let mut parents = 1usize;
         for l in 0..rank {
-            let dim = coo.dims[format.dim_of_level(l)];
-            let coord_at = |e: usize| lvl_coords[e * rank + l];
-            let mut st = LevelStorage::default();
-            let mut next_segments: Vec<Range<usize>> = Vec::new();
-            match format.levels()[l] {
+            let st = &mut levels[l];
+            match types[l] {
                 LevelType::Dense => {
-                    // One child per coordinate value per parent, including
-                    // empty ones; no buffers.
-                    for seg in &segments {
-                        let mut e = seg.start;
-                        for c in 0..dim {
-                            let start = e;
-                            while e < seg.end && coord_at(e) == c {
-                                e += 1;
-                            }
-                            next_segments.push(start..e);
-                        }
-                        debug_assert_eq!(e, seg.end, "entries outside dim range");
-                    }
+                    parents = parents
+                        .checked_mul(extent[l])
+                        .ok_or_else(|| node_index_overflow(l))?;
                 }
-                LevelType::Compressed { unique: true, .. } => {
-                    st.pos.push(0);
-                    for seg in &segments {
-                        let mut e = seg.start;
-                        while e < seg.end {
-                            let c = coord_at(e);
-                            let start = e;
-                            while e < seg.end && coord_at(e) == c {
-                                e += 1;
-                            }
-                            st.crd.push(c);
-                            next_segments.push(start..e);
-                        }
-                        st.pos.push(st.crd.len());
-                    }
-                }
-                LevelType::Compressed { unique: false, .. } => {
-                    // One node per entry (duplicates retained), as in COO's
-                    // first level.
-                    st.pos.push(0);
-                    for seg in &segments {
-                        for e in seg.clone() {
-                            st.crd.push(coord_at(e));
-                            next_segments.push(e..e + 1);
-                        }
-                        st.pos.push(st.crd.len());
-                    }
+                LevelType::Compressed { .. } => {
+                    close_segments(&mut st.pos, parents, st.crd.len(), l)?;
+                    parents = st.crd.len();
                 }
                 LevelType::Singleton => {
-                    for seg in &segments {
-                        if seg.len() != 1 {
-                            return Err(AsapError::storage(format!(
-                                "level {l}: singleton level requires exactly one entry \
-                                 per parent, got {}",
-                                seg.len()
-                            )));
-                        }
-                        st.crd.push(coord_at(seg.start));
-                        next_segments.push(seg.clone());
+                    if run[l] != 1 {
+                        note(l, run[l]);
+                    }
+                    if next_parent[l] != parents {
+                        note(l, 0);
                     }
                 }
             }
-            levels.push(st);
-            segments = next_segments;
         }
+        if let Some((l, got)) = overfull {
+            return Err(AsapError::storage(format!(
+                "level {l}: singleton level requires exactly one entry per parent, got {got}"
+            )));
+        }
+        let n = values.len();
 
         let max_dim = coo.dims.iter().copied().max().unwrap_or(0);
         Ok(SparseTensor {

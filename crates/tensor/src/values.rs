@@ -67,6 +67,14 @@ impl Values {
         }
     }
 
+    /// An empty array of the given kind with room for `n` values.
+    pub fn with_capacity(kind: ValueKind, n: usize) -> Values {
+        match kind {
+            ValueKind::F64 => Values::F64(Vec::with_capacity(n)),
+            ValueKind::I8 => Values::I8(Vec::with_capacity(n)),
+        }
+    }
+
     /// A zero-filled array (additive identity of the kind's semiring).
     pub fn zeros(kind: ValueKind, n: usize) -> Values {
         match kind {

@@ -11,7 +11,8 @@
 //!   `validate_jsonl`, with the manifest on line 1.
 //!
 //! The span recorder and metrics registry are process-global, so every
-//! test that touches them serializes on `OBS_LOCK`.
+//! test that touches them — including any that merely compiles or
+//! executes a kernel, which emits spans — serializes on `OBS_LOCK`.
 
 use std::sync::Mutex;
 
@@ -154,6 +155,9 @@ fn analyzer_matches_hand_computed_golden() {
 /// known access pattern, traced through a real ASaP-prefetched SpMV.
 #[test]
 fn analyzer_on_hand_built_csr_is_deterministic_and_labeled() {
+    // Compiles and runs: its spans would land in another test's
+    // recorder window.
+    let _g = lock();
     // row 0: cols 0,2; row 1: col 1; row 2: cols 0,3; row 3: col 3
     let mut tri = Triplets::new(4, 4);
     for &(r, c, v) in &[

@@ -285,6 +285,34 @@ fn inline_matrix_market_body_is_served() {
     server.join();
 }
 
+/// The size line is the client's word. A 60-byte body declaring 2^40
+/// rows must be refused from the parsed triplets' footprint, before
+/// any `O(rows)` storage is built — a typed 413, promptly, with the
+/// daemon unharmed.
+#[test]
+fn one_entry_inline_matrix_with_a_huge_shape_is_a_fast_413() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    let mtx = "%%MatrixMarket matrix coordinate real general\n1099511627776 1 1\n1 1 1.0\n";
+    let body = format!(r#"{{"kernel":"spmv","mtx":{mtx:?}}}"#);
+    // Best of three, so a descheduled test thread is not a failure.
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let sent = std::time::Instant::now();
+        let reply = post(addr, "/v1/run", &body, TIMEOUT).expect("transport ok");
+        fastest = fastest.min(sent.elapsed());
+        assert_eq!(reply.status, 413, "body: {}", reply.body);
+        assert_eq!(field(&reply.body, "kind").as_deref(), Some("store"));
+    }
+    assert!(fastest < Duration::from_millis(100), "took {fastest:?}");
+
+    let health = get(addr, "/healthz", TIMEOUT).expect("transport ok");
+    assert_eq!(health.status, 200);
+    assert_eq!(field(&health.body, "status").as_deref(), Some("ok"));
+
+    server.join();
+}
+
 #[test]
 fn a_panicking_request_is_isolated() {
     let server = start(ServeConfig {

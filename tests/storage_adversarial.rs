@@ -4,7 +4,7 @@
 //! contract under attack: validation returns a typed `storage` error —
 //! never a panic, never an out-of-bounds read.
 
-use asap::tensor::{Format, SparseTensor};
+use asap::tensor::{CooTensor, Format, SparseTensor, Values};
 use asap_fuzz::{corruptions, random_triplets, to_mtx_bytes, Rng64};
 use asap_matrices::{read_matrix_market, Triplets};
 
@@ -123,6 +123,26 @@ fn truncated_crd_is_rejected_not_read_out_of_bounds() {
     t.level_mut(1).crd.truncate(3);
     let err = t.check_invariants().expect_err("truncated crd");
     assert_eq!(err.kind(), "storage");
+}
+
+/// A dense level costs its extent whatever nnz is: the `pos` below it
+/// has one boundary per row. When that buffer cannot be had — here its
+/// byte size does not even fit an allocation request — the build is a
+/// typed error, not an abort; likewise a node index past `usize`.
+#[test]
+fn extent_sized_buffers_that_cannot_exist_are_typed_errors() {
+    let one = |dims: Vec<usize>| {
+        let coords = vec![3; dims.len()];
+        CooTensor::try_new(dims, coords, Values::F64(vec![1.0])).unwrap()
+    };
+    let err = SparseTensor::try_from_coo(&one(vec![1 << 61, 8]), Format::csr())
+        .expect_err("a 2^61-row CSR has no pos buffer");
+    assert_eq!(err.kind(), "storage", "{err}");
+    assert!(err.to_string().contains("pos"), "{err}");
+
+    let err = SparseTensor::try_from_coo(&one(vec![1 << 40, 1 << 40]), Format::all_dense(2))
+        .expect_err("2^80 dense nodes");
+    assert_eq!(err.kind(), "storage", "{err}");
 }
 
 /// Every byte-corrupted MatrixMarket stream that *still parses* must
