@@ -6,9 +6,10 @@
 //! - [`recorder`] — a process-global span recorder with RAII scoped
 //!   spans, parent links and attributes; disabled-path cost is one
 //!   relaxed atomic load (`perfstat` gates the aggregate overhead <2%).
-//! - [`metrics`] — named monotonic counters and log2-bucketed
-//!   histograms unifying the workspace's scattered stats (compile-cache
-//!   hits, pool retries, budget polls, VM opcode dispatch counts).
+//! - [`metrics`] — one registry of named counters, gauges and
+//!   log2-bucketed histograms (labels optional) unifying the workspace's
+//!   scattered stats (compile-cache hits, pool retries, budget polls, VM
+//!   opcode dispatch counts, the daemon's per-tenant stage clocks).
 //! - [`analyzer`] — joins the `asap-ir` [`TraceModel`](asap_ir::TraceModel)
 //!   event stream with `asap-sim` counters into per-prefetch-site
 //!   accuracy / coverage / timeliness, mapped back to the sparsifier
@@ -44,9 +45,8 @@ pub use json::{parse as parse_json, Json, ObjWriter};
 pub use manifest::{RunManifest, BUILD_PROFILE};
 pub use metrics::{
     counter_add, counter_get, counter_inc, counter_set_max, gauge_add, gauge_get, gauge_set,
-    gauge_sub, histogram_record, labeled_counter_add, labeled_histogram_record, labeled_name,
-    labeled_snapshot, render as render_metrics, render_labeled, snapshot as metrics_snapshot,
-    HistogramSnapshot, LabeledHistogramSnapshot, LabeledSnapshot, MetricsSnapshot,
+    gauge_sub, histogram_record, histogram_record_exemplar, labeled_name, render as render_metrics,
+    snapshot as metrics_snapshot, HistogramSnapshot, MetricsSnapshot,
 };
 pub use recorder::{
     enabled, render_span_tree, render_span_tree_timed, set_enabled, snapshot_spans, span,
@@ -63,14 +63,4 @@ pub use trace::{
 pub fn reset_all() {
     recorder::reset();
     metrics::reset();
-    metrics::labeled_reset();
-}
-
-/// Render the full `/metrics` exposition: the unlabeled registry first
-/// (byte-identical to [`render_metrics`] — the determinism golden test
-/// pins that), then the labeled serving series with exemplars.
-pub fn render_metrics_all() -> String {
-    let mut out = render_metrics(&metrics_snapshot());
-    out.push_str(&render_labeled(&labeled_snapshot()));
-    out
 }

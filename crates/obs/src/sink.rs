@@ -3,14 +3,15 @@
 //! format every figure binary and `asap_cli` emit.
 //!
 //! Hand-rolled like the rest of the workspace's JSON (dependency-free
-//! builds); [`validate_jsonl`] is the minimal structural parser CI uses
-//! to check the sink's output round-trips.
+//! builds); [`validate_jsonl`] reads the output back through
+//! [`crate::json`] to check that it round-trips.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 use crate::analyzer::Effectiveness;
+use crate::json;
 use crate::manifest::RunManifest;
 use crate::metrics::MetricsSnapshot;
 use crate::recorder::SpanRecord;
@@ -146,8 +147,8 @@ pub fn write_jsonl(
     std::fs::write(path, render_jsonl(manifest, spans, metrics, effectiveness))
 }
 
-/// Structural validation of a JSONL dump: every non-empty line is a
-/// brace-balanced JSON object (string-aware) with a `"type"` key, and
+/// Validation of a JSONL dump with the workspace's JSON reader: every
+/// non-empty line parses as a JSON object with a `"type"` key, and
 /// line one is the manifest. Returns the number of lines validated.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     let mut n = 0usize;
@@ -156,16 +157,11 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
         if line.is_empty() {
             continue;
         }
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {}: not a JSON object", lineno + 1));
-        }
-        if !json_object_balanced(line) {
-            return Err(format!("line {}: unbalanced JSON", lineno + 1));
-        }
-        if !line.contains("\"type\":") {
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let Some(ty) = v.get("type") else {
             return Err(format!("line {}: missing \"type\" key", lineno + 1));
-        }
-        if n == 0 && !line.contains("\"type\":\"manifest\"") {
+        };
+        if n == 0 && ty.as_str() != Some("manifest") {
             return Err("line 1: first record must be the manifest".to_string());
         }
         n += 1;
@@ -174,36 +170,6 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
         return Err("empty trace".to_string());
     }
     Ok(n)
-}
-
-fn json_object_balanced(s: &str) -> bool {
-    let mut depth = 0i64;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in s.chars() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_str
 }
 
 #[cfg(test)]
@@ -224,8 +190,8 @@ mod tests {
             attrs: vec![("kernel", "spmv \"x\"".to_string())],
         }];
         let metrics = MetricsSnapshot {
-            counters: vec![("cache.hits", 3)],
-            gauges: vec![("serve.queue_depth", 2)],
+            counters: vec![("cache.hits".to_string(), 3)],
+            gauges: vec![("serve.queue_depth".to_string(), 2)],
             histograms: vec![],
         };
         let trace = TraceModel::new();

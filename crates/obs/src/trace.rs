@@ -360,13 +360,13 @@ impl RequestRecord {
     }
 }
 
-/// Flush a completed request into the labeled metrics registry:
-/// per-stage per-tenant histograms (`serve.stage_ns{…}`) with the trace
-/// id as exemplar, a whole-request latency histogram
-/// (`serve.request_ns{…}`), and — for `/v1/run` requests — the SLO
-/// over/under counters against `slo_ms`.
+/// Flush a completed request into the metrics registry: per-stage
+/// per-tenant histograms (`serve.stage_ns{…}`) with the trace id as
+/// exemplar, a whole-request latency histogram (`serve.request_ns{…}`),
+/// and — for `/v1/run` requests — the SLO over/under counters against
+/// `slo_ms`.
 pub fn flush_stage_metrics(rec: &RequestRecord, slo_ms: u64) {
-    let exemplar = Some(rec.id.0);
+    let exemplar = rec.id.0;
     for (i, st) in STAGES.iter().enumerate() {
         if rec.stages_ns[i] == 0 {
             continue; // stages the request never reached stay absent
@@ -375,10 +375,10 @@ pub fn flush_stage_metrics(rec: &RequestRecord, slo_ms: u64) {
             "serve.stage_ns",
             &[("stage", st.label()), ("tenant", &rec.tenant)],
         );
-        metrics::labeled_histogram_record(&name, rec.stages_ns[i], exemplar);
+        metrics::histogram_record_exemplar(&name, rec.stages_ns[i], exemplar);
     }
     let name = metrics::labeled_name("serve.request_ns", &[("tenant", &rec.tenant)]);
-    metrics::labeled_histogram_record(&name, rec.total_ns, exemplar);
+    metrics::histogram_record_exemplar(&name, rec.total_ns, exemplar);
     if rec.is_run {
         let objective = slo_ms.to_string();
         let side = if rec.total_ns > slo_ms.saturating_mul(1_000_000) {
@@ -390,7 +390,7 @@ pub fn flush_stage_metrics(rec: &RequestRecord, slo_ms: u64) {
             side,
             &[("objective_ms", &objective), ("tenant", &rec.tenant)],
         );
-        metrics::labeled_counter_add(&name, 1);
+        metrics::counter_inc(&name);
     }
 }
 
@@ -738,13 +738,14 @@ mod tests {
 
     #[test]
     fn flush_stage_metrics_populates_labeled_registry() {
+        let _values = metrics::tests::values_stay();
         let ctx = TraceCtx::start();
         ctx.set_tenant("flushy");
         ctx.set_request("spmv", 1);
         ctx.add(Stage::Exec, 5_000_000);
         let rec = ctx.finish(200);
         flush_stage_metrics(&rec, 0); // 0ms objective: any request is over
-        let s = metrics::labeled_snapshot();
+        let s = metrics::snapshot();
         let h = s
             .histogram("serve.stage_ns{stage=\"exec\",tenant=\"flushy\"}")
             .expect("stage histogram exists");

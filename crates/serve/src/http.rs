@@ -360,16 +360,6 @@ pub fn write_response(
     stream.flush()
 }
 
-/// Write a JSON response.
-pub fn write_json(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> std::io::Result<()> {
-    write_response(stream, status, extra_headers, "application/json", body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

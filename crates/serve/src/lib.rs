@@ -11,16 +11,18 @@
 //!
 //! Production concerns, all std-only:
 //!
-//! - **Admission control** ([`queue`]): a bounded accept queue; overload
-//!   is an immediate 429 + `Retry-After`, never latency collapse.
-//! - **Request coalescing** ([`batcher`]): concurrent cold compiles of
-//!   the same kernel single-flight; exactly one request pays.
+//! - **Admission control** ([`queue`]): the connection FIFO and every
+//!   job lane are bounded; overload is an immediate 429 +
+//!   `Retry-After`, never latency collapse.
+//! - **Request coalescing** ([`single_flight`]): concurrent cold
+//!   compiles of the same kernel single-flight; exactly one request
+//!   pays.
 //! - **Panic isolation** ([`server`]): a panicking request is a 500 for
 //!   that client, not a dead worker.
 //! - **Cancellation**: a reaper thread detects client disconnects and
 //!   fires the request's `CancelToken`, stopping abandoned work at the
 //!   budget's next poll slot.
-//! - **Supervision** ([`server`]): worker-thread death is detected,
+//! - **Supervision**: worker-thread death is detected,
 //!   journaled (JSONL crash journal: panic digest + request
 //!   fingerprint), and healed by respawn under consecutive-crash
 //!   backoff.
@@ -52,28 +54,31 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batcher;
+mod admission;
 pub mod client;
 pub mod http;
 pub mod matrix;
 pub mod queue;
+mod reply;
 pub mod request;
 pub mod server;
+pub mod single_flight;
 pub mod store;
+mod supervisor;
 pub mod tenant;
 
-pub use batcher::SingleFlight;
 pub use client::{
     exchange, exchange_with_headers, get, post, BreakerState, CircuitBreaker, ClientError,
     HttpReply, ResilientClient, RetryPolicy,
 };
 pub use http::{MAX_HEADERS, MAX_HEAD_BYTES, MAX_REQUEST_LINE};
 pub use matrix::MatrixCatalog;
-pub use queue::{BoundedQueue, PushError, SubmitError, TenantScheduler, Work};
+pub use queue::{PushError, SubmitError, TenantScheduler, Work};
 pub use request::{
     parse_run_request, render_error, render_outcome, RequestCtx, RunReject, RunRequest,
     DEFAULT_SPMM_COLS,
 };
 pub use server::{ServeConfig, Server};
+pub use single_flight::SingleFlight;
 pub use store::{MatrixStore, Resident, StoreError, STORE_SHARDS};
 pub use tenant::{TenantError, TenantQuotas, TenantRegistry, TenantState, DEFAULT_TENANT};

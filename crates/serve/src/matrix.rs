@@ -8,15 +8,10 @@
 //!   `--gen`, with size caps so a request cannot allocate unboundedly);
 //! - inline MatrixMarket text in the request body (`"mtx"` field).
 //!
-//! Residency policy lives one layer up, in [`crate::store`]: when the
-//! resident store is enabled the catalog is only the *builder*
-//! ([`MatrixCatalog::build`] / [`MatrixCatalog::resolve_inline`]) and
-//! the store decides what stays hot, under byte ceilings and tenant
-//! quotas — including inline payloads, which are keyed by content
-//! digest so a client cannot pin unbounded server memory. With the
-//! store disabled, [`MatrixCatalog::resolve`] falls back to this
-//! module's own unbounded-tenant-blind cache (the pre-tenancy
-//! behaviour, kept for embedded and test use).
+//! The catalog only *builds*: residency policy lives one layer up, in
+//! [`crate::store`], which decides what stays hot under byte ceilings
+//! and tenant quotas — including inline payloads, which are keyed by
+//! content digest so a client cannot pin unbounded server memory.
 //! Binary (pattern) matrices get the CLI's deterministic devaluation so
 //! a served result is comparable to `asap_cli --gen` on the same spec.
 
@@ -24,12 +19,7 @@ use crate::request::RunReject;
 use asap_ir::AsapError;
 use asap_matrices::{gen, read_matrix_market, synthetic_collection, SizeClass, Triplets};
 use asap_tensor::{Format, SparseTensor};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Cap on resolved-matrix cache entries. The full collection is ~20
-/// specs; the headroom is for generator variety.
-const CATALOG_CAPACITY: usize = 64;
+use std::sync::Arc;
 
 /// Generator size caps: a request may make the server *work*, not make
 /// it allocate without bound.
@@ -40,54 +30,15 @@ const MAX_GEN_BAND: usize = 4096;
 
 pub struct MatrixCatalog {
     size: SizeClass,
-    cache: Mutex<HashMap<String, Arc<SparseTensor>>>,
 }
 
 impl MatrixCatalog {
     pub fn new(size: SizeClass) -> MatrixCatalog {
-        MatrixCatalog {
-            size,
-            cache: Mutex::new(HashMap::new()),
-        }
+        MatrixCatalog { size }
     }
 
-    /// Lock the catalog cache, recovering from poisoning the same way
-    /// `asap-core::cache` does: a panic mid-insert may have left the
-    /// map in an arbitrary state, so throw the entries away (they are
-    /// reproducible from their specs), count the recovery, and clear
-    /// the flag so later lockers stop paying the poison branch.
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<String, Arc<SparseTensor>>> {
-        match self.cache.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                g.clear();
-                asap_obs::counter_inc("serve.catalog.poison_recoveries");
-                self.cache.clear_poison();
-                g
-            }
-        }
-    }
-
-    /// Resolve a `matrix` reference (name or `gen:` spec) to a shared
-    /// CSR tensor, building and caching it on first use.
-    pub fn resolve(&self, reference: &str) -> Result<Arc<SparseTensor>, AsapError> {
-        if let Some(t) = self.lock_cache().get(reference) {
-            return Ok(t.clone());
-        }
-        let sparse = self.build(reference)?;
-        let mut cache = self.lock_cache();
-        if cache.len() >= CATALOG_CAPACITY {
-            // Rare (needs 64 distinct generator specs); dropping the lot
-            // costs regeneration, never correctness.
-            cache.clear();
-        }
-        cache.insert(reference.to_string(), sparse.clone());
-        Ok(sparse)
-    }
-
-    /// Build a `matrix` reference without touching this catalog's cache
-    /// — the resident store's path, where *it* owns residency.
+    /// Build a `matrix` reference (collection name or `gen:` spec) as a
+    /// CSR tensor.
     pub fn build(&self, reference: &str) -> Result<Arc<SparseTensor>, AsapError> {
         let tri = if let Some(spec) = reference.strip_prefix("gen:") {
             parse_gen(spec)?
@@ -105,7 +56,7 @@ impl MatrixCatalog {
         Ok(Arc::new(to_csr(tri)?))
     }
 
-    /// Build a tensor from inline MatrixMarket text. Uncached.
+    /// Build a tensor from inline MatrixMarket text.
     ///
     /// The size line is the client's word: a one-entry body may declare
     /// 2^40 rows, and a CSR dense level costs `O(rows)`. So the parsed
@@ -131,11 +82,6 @@ impl MatrixCatalog {
             )));
         }
         Ok(Arc::new(to_csr(tri)?))
-    }
-
-    #[cfg(test)]
-    fn cached_len(&self) -> usize {
-        self.lock_cache().len()
     }
 }
 
@@ -213,20 +159,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gen_specs_resolve_and_cache() {
-        let cat = MatrixCatalog::new(SizeClass::Tiny);
-        let a = cat.resolve("gen:er:512:4").unwrap();
-        let b = cat.resolve("gen:er:512:4").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second resolve is the cached Arc");
-        assert_eq!(a.dims(), &[512, 512]);
-        assert_eq!(cat.cached_len(), 1);
-    }
-
-    #[test]
     fn collection_names_resolve() {
         let cat = MatrixCatalog::new(SizeClass::Tiny);
         let name = synthetic_collection(SizeClass::Tiny)[0].name.clone();
-        let t = cat.resolve(&name).unwrap();
+        let t = cat.build(&name).unwrap();
         assert!(t.nnz() > 0);
     }
 
@@ -242,46 +178,18 @@ mod tests {
             "gen:rmat:63:4",
             &format!("gen:er:{}:4", MAX_GEN_N + 1),
         ] {
-            let e = cat.resolve(bad).unwrap_err();
+            let e = cat.build(bad).unwrap_err();
             assert_eq!(e.kind(), "binding", "{bad} -> {e}");
         }
-        assert_eq!(cat.cached_len(), 0, "failures are not cached");
     }
 
     #[test]
-    fn poisoned_cache_recovers_by_clearing() {
-        let cat = Arc::new(MatrixCatalog::new(SizeClass::Tiny));
-        cat.resolve("gen:er:128:2").unwrap();
-        assert_eq!(cat.cached_len(), 1);
-        // Poison the cache mutex: panic while holding the guard.
-        let poisoner = cat.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = poisoner.cache.lock().unwrap();
-            panic!("deliberate poison");
-        })
-        .join();
-        assert!(cat.cache.is_poisoned());
-        let before = asap_obs::counter_get("serve.catalog.poison_recoveries");
-        // Recovery: entries discarded, flag cleared, recovery counted,
-        // and the catalog keeps working.
-        assert_eq!(cat.cached_len(), 0);
-        assert!(!cat.cache.is_poisoned());
-        assert_eq!(
-            asap_obs::counter_get("serve.catalog.poison_recoveries"),
-            before + 1
-        );
-        cat.resolve("gen:er:128:2").unwrap();
-        assert_eq!(cat.cached_len(), 1);
-    }
-
-    #[test]
-    fn inline_mtx_resolves_but_is_not_cached() {
+    fn inline_mtx_resolves() {
         let cat = MatrixCatalog::new(SizeClass::Tiny);
         let mtx = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 2.0\n3 2 -1.5\n";
         let t = cat.resolve_inline(mtx, u64::MAX).unwrap();
         assert_eq!(t.dims(), &[3, 3]);
         assert_eq!(t.nnz(), 2);
-        assert_eq!(cat.cached_len(), 0);
         assert_eq!(
             cat.resolve_inline("not a matrix", u64::MAX)
                 .unwrap_err()

@@ -1,29 +1,24 @@
-//! The bounded accept→worker queues behind admission control.
+//! The scheduler behind admission control: one bounded connection FIFO
+//! and per-tenant job lanes, drained by one shared worker pool.
 //!
-//! Two layers live here:
-//!
-//! - [`BoundedQueue`] — the original single FIFO. `try_push` never
-//!   blocks: a full queue is an immediate [`PushError::Full`] so the
-//!   accept loop can answer 429 with `Retry-After` instead of letting
-//!   latency collapse under overload. `pop` blocks until an item
-//!   arrives or the queue is closed *and* drained — the
-//!   graceful-shutdown contract: closing stops admission, workers
-//!   finish what was queued.
-//!
-//! - [`TenantScheduler`] — the multi-tenant replacement the server now
-//!   runs on. Raw connections enter one bounded FIFO (parsing is cheap
-//!   and tenant-blind: the tenant is only known after the headers are
-//!   read). Parsed jobs enter **per-tenant lanes** drained by weighted
-//!   deficit round-robin: each time a lane reaches the head of the
-//!   active ring with no deficit it is credited `weight` units, each
-//!   popped job costs one unit, and the lane rotates to the back when
-//!   its credit is spent. Service is therefore weight-proportional
-//!   across backlogged tenants — a tenant bursting 10× the offered
-//!   load fills only its own lane (per-tenant 429) and cannot starve
-//!   anyone else's. Workers take connections first (a parse either
-//!   becomes a lane entry or an immediate rejection; letting conns
-//!   queue behind an aggressor's jobs would turn per-tenant 429s back
-//!   into global ones).
+//! Raw connections enter one bounded FIFO (parsing is cheap and
+//! tenant-blind: the tenant is only known after the headers are read).
+//! `try_push_conn` never blocks: a full FIFO is an immediate
+//! [`PushError::Full`] so the accept loop can answer 429 with
+//! `Retry-After` instead of letting latency collapse under overload.
+//! Parsed jobs enter **per-tenant lanes** drained by weighted deficit
+//! round-robin: each time a lane reaches the head of the active ring
+//! with no deficit it is credited `weight` units, each popped job costs
+//! one unit, and the lane rotates to the back when its credit is spent.
+//! Service is therefore weight-proportional across backlogged tenants —
+//! a tenant bursting 10× the offered load fills only its own lane
+//! (per-tenant 429) and cannot starve anyone else's. Workers take
+//! connections first (a parse either becomes a lane entry or an
+//! immediate rejection; letting conns queue behind an aggressor's jobs
+//! would turn per-tenant 429s back into global ones). `next_work` blocks
+//! until work arrives or the scheduler is closed *and* drained — the
+//! graceful-shutdown contract: closing stops admission, workers finish
+//! what was queued.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -34,85 +29,6 @@ pub enum PushError<T> {
     Full(T),
     /// Closed for draining; the item is handed back for the 503 path.
     Closed(T),
-}
-
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    ready: Condvar,
-    bound: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    pub fn new(bound: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            bound: bound.max(1),
-        }
-    }
-
-    /// Non-blocking admission: enqueue or hand the item straight back.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if g.closed {
-            return Err(PushError::Closed(item));
-        }
-        if g.items.len() >= self.bound {
-            return Err(PushError::Full(item));
-        }
-        g.items.push_back(item);
-        let depth = g.items.len();
-        drop(g);
-        self.ready.notify_one();
-        Ok(depth)
-    }
-
-    /// Block until an item is available (`Some`) or the queue is closed
-    /// and fully drained (`None`).
-    pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.ready.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Stop admitting; wake all poppers so they can drain and exit.
-    pub fn close(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.closed = true;
-        drop(g);
-        self.ready.notify_all();
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .items
-            .len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).closed
-    }
 }
 
 /// What a worker gets from [`TenantScheduler::next_work`].
@@ -195,7 +111,7 @@ impl<C, J> TenantScheduler<C, J> {
     }
 
     /// Non-blocking connection admission (the accept loop's 429/503
-    /// decision point, same contract as [`BoundedQueue::try_push`]).
+    /// decision point): enqueue or hand the connection straight back.
     pub fn try_push_conn(&self, conn: C) -> Result<usize, PushError<C>> {
         let mut g = self.lock();
         if g.closed {
@@ -337,156 +253,6 @@ impl<C, J> TenantScheduler<C, J> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn full_queue_bounces_instead_of_blocking() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1).unwrap(), 1);
-        assert_eq!(q.try_push(2).unwrap(), 2);
-        match q.try_push(3) {
-            Err(PushError::Full(v)) => assert_eq!(v, 3),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(4).unwrap(), 2);
-    }
-
-    #[test]
-    fn close_drains_then_releases_poppers() {
-        let q = Arc::new(BoundedQueue::new(8));
-        q.try_push(10).unwrap();
-        q.try_push(11).unwrap();
-        q.close();
-        match q.try_push(12) {
-            Err(PushError::Closed(v)) => assert_eq!(v, 12),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        // Queued work survives the close; only then does pop return None.
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_poppers_wake_on_close() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let waiters: Vec<_> = (0..3)
-            .map(|_| {
-                let q = q.clone();
-                std::thread::spawn(move || q.pop())
-            })
-            .collect();
-        q.try_push(1).unwrap();
-        q.close();
-        let mut got: Vec<Option<u32>> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
-        got.sort();
-        assert_eq!(got, vec![None, None, Some(1)]);
-    }
-
-    #[test]
-    fn producers_and_consumers_conserve_items() {
-        let q: Arc<BoundedQueue<usize>> = Arc::new(BoundedQueue::new(4));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    let mut sum = 0usize;
-                    while let Some(v) = q.pop() {
-                        sum += v;
-                    }
-                    sum
-                })
-            })
-            .collect();
-        let mut pushed = 0usize;
-        let mut i = 1usize;
-        while pushed < 100 {
-            if q.try_push(i).is_ok() {
-                pushed += 1;
-                i += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        q.close();
-        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, (1..=100).sum::<usize>());
-    }
-
-    #[test]
-    fn pop_after_close_drains_in_fifo_order() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        q.close();
-        // Close stops admission but never reorders or drops: the five
-        // queued items come out exactly as they went in.
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_after_close_hands_item_back_closed() {
-        let q = BoundedQueue::new(2);
-        q.close();
-        match q.try_push("job") {
-            Err(PushError::Closed(v)) => assert_eq!(v, "job"),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        // Still Closed, not Full, even though the queue has room.
-        assert!(matches!(q.try_push("again"), Err(PushError::Closed(_))));
-    }
-
-    #[test]
-    fn concurrent_close_vs_pop_loses_no_wakeups() {
-        // Race close() against a pack of blocked poppers, many rounds:
-        // every popper must return (no lost wakeup leaves one parked
-        // forever) and every pushed item must surface exactly once.
-        for round in 0..50 {
-            let q: Arc<BoundedQueue<usize>> = Arc::new(BoundedQueue::new(64));
-            let poppers: Vec<_> = (0..4)
-                .map(|_| {
-                    let q = q.clone();
-                    std::thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some(v) = q.pop() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let pusher = {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    let mut pushed = 0usize;
-                    for i in 0..(round % 7) {
-                        if q.try_push(i).is_ok() {
-                            pushed += 1;
-                        }
-                    }
-                    pushed
-                })
-            };
-            let closer = {
-                let q = q.clone();
-                std::thread::spawn(move || q.close())
-            };
-            let pushed = pusher.join().unwrap();
-            closer.join().unwrap();
-            let mut seen: Vec<usize> = poppers
-                .into_iter()
-                .flat_map(|p| p.join().expect("popper must exit, not hang"))
-                .collect();
-            seen.sort_unstable();
-            assert_eq!(seen.len(), pushed, "round {round}: item lost or duplicated");
-        }
-    }
-
-    // --- TenantScheduler ---
 
     #[test]
     fn conns_win_over_jobs_and_drr_is_weight_proportional() {

@@ -187,16 +187,11 @@ fn opt_usize(v: &Json, field: &str) -> Result<Option<usize>, AsapError> {
 /// resident; miss → build once, admit on the tenant's account).
 fn resolve_named(ctx: &RequestCtx, name: &str) -> Result<Resident, RunReject> {
     ctx.timed_store(|| {
-        if !ctx.store.enabled() {
-            // Store disabled: the legacy catalog cache keeps the warm path.
-            return Ok(Resident::unmanaged(ctx.catalog.resolve(name)?));
-        }
-        let key = format!("ref:{name}");
-        if let Some(r) = ctx.store.lookup(&key) {
-            return Ok(r);
-        }
-        let tensor = ctx.catalog.build(name)?;
-        Ok(ctx.store.admit(&key, tensor, ctx.tenant)?)
+        ctx.store.resident(
+            || format!("ref:{name}"),
+            ctx.tenant,
+            || Ok(ctx.catalog.build(name)?),
+        )
     })
 }
 
@@ -216,16 +211,11 @@ fn resolve_inline(ctx: &RequestCtx, text: &str) -> Result<Resident, RunReject> {
     };
     let max_bytes = ctx.store.entry_limit().min(exec_limit);
     ctx.timed_store(|| {
-        if !ctx.store.enabled() {
-            let tensor = ctx.catalog.resolve_inline(text, max_bytes)?;
-            return Ok(Resident::unmanaged(tensor));
-        }
-        let key = format!("mtx:{:016x}", asap_core::fingerprint64(text.as_bytes()));
-        if let Some(r) = ctx.store.lookup(&key) {
-            return Ok(r);
-        }
-        let tensor = ctx.catalog.resolve_inline(text, max_bytes)?;
-        Ok(ctx.store.admit(&key, tensor, ctx.tenant)?)
+        ctx.store.resident(
+            || format!("mtx:{:016x}", asap_core::fingerprint64(text.as_bytes())),
+            ctx.tenant,
+            || ctx.catalog.resolve_inline(text, max_bytes),
+        )
     })
 }
 

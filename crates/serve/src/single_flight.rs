@@ -4,7 +4,7 @@
 //! workers racing on a cold key would both run the compiler (the cache
 //! deliberately compiles outside its locks). Under a request burst that
 //! is N-1 wasted compiles of the same kernel at the worst moment — cold
-//! start. The batcher closes that gap: the first requester of a key
+//! start. Single-flight closes that gap: the first requester of a key
 //! becomes the leader and compiles; every concurrent requester of the
 //! same key parks on the flight and receives a clone of the leader's
 //! result.

@@ -112,20 +112,6 @@ impl std::fmt::Debug for Resident {
     }
 }
 
-impl Resident {
-    /// Wrap a tensor that never went through the store (disabled store,
-    /// embedded/test use): no pin, no residency, bytes from footprint.
-    pub fn unmanaged(tensor: Arc<SparseTensor>) -> Resident {
-        let bytes = tensor.footprint_bytes() as u64;
-        Resident {
-            tensor,
-            store_hit: false,
-            bytes,
-            pin: None,
-        }
-    }
-}
-
 struct Pin {
     store: Arc<MatrixStore>,
     shard: usize,
@@ -203,6 +189,23 @@ impl MatrixStore {
 
     fn touch(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The one residency sequence: the resident under `key` if there is
+    /// one, else `build`'s tensor admitted on `tenant`'s account. A
+    /// disabled store keeps nothing, so it never asks for the key — for
+    /// an inline body that is a digest over every byte.
+    pub(crate) fn resident<E: From<StoreError>>(
+        self: &Arc<Self>,
+        key: impl FnOnce() -> String,
+        tenant: &Arc<TenantState>,
+        build: impl FnOnce() -> Result<Arc<SparseTensor>, E>,
+    ) -> Result<Resident, E> {
+        let key = if self.enabled() { key() } else { String::new() };
+        if let Some(r) = self.lookup(&key) {
+            return Ok(r);
+        }
+        Ok(self.admit(&key, build()?, tenant)?)
     }
 
     /// Look up a resident tensor, pinning it for the caller.

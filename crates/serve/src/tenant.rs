@@ -101,23 +101,19 @@ pub struct TenantState {
     /// Bytes currently resident in the matrix store on this tenant's
     /// account.
     pub resident_bytes: AtomicU64,
-    // Per-tenant tallies, mirrored into leaked-name obs counters so
-    // /metrics breaks them out (bounded by max_tenants).
+    // Per-tenant tallies, mirrored into obs counters named after the
+    // tenant so /metrics breaks them out (bounded by max_tenants).
     pub served: AtomicU64,
     pub rejected: AtomicU64,
     pub shed: AtomicU64,
-    m_served: &'static str,
-    m_rejected: &'static str,
-    m_shed: &'static str,
+    m_served: String,
+    m_rejected: String,
+    m_shed: String,
 }
 
 impl TenantState {
     fn new(name: &str, weight: u32, q: &TenantQuotas) -> TenantState {
-        // Leaked once per registered tenant; the registry cap bounds the
-        // total leak at max_tenants × 3 short strings.
-        let leak = |suffix: &str| -> &'static str {
-            Box::leak(format!("serve.tenant.{name}.{suffix}").into_boxed_str())
-        };
+        let metric = |suffix: &str| format!("serve.tenant.{name}.{suffix}");
         TenantState {
             name: name.to_string(),
             weight: weight.max(1),
@@ -132,9 +128,9 @@ impl TenantState {
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            m_served: leak("served"),
-            m_rejected: leak("rejected"),
-            m_shed: leak("shed"),
+            m_served: metric("served"),
+            m_rejected: metric("rejected"),
+            m_shed: metric("shed"),
         }
     }
 
@@ -202,17 +198,17 @@ impl TenantState {
 
     pub fn count_served(&self) {
         self.served.fetch_add(1, Ordering::Relaxed);
-        asap_obs::counter_inc(self.m_served);
+        asap_obs::counter_inc(&self.m_served);
     }
 
     pub fn count_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        asap_obs::counter_inc(self.m_rejected);
+        asap_obs::counter_inc(&self.m_rejected);
     }
 
     pub fn count_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        asap_obs::counter_inc(self.m_shed);
+        asap_obs::counter_inc(&self.m_shed);
     }
 }
 

@@ -64,7 +64,7 @@ fn served_result_is_bit_identical_to_direct_call() {
     // The reference: same matrix through the same catalog, executed by
     // a direct library call with no server in the path.
     let catalog = MatrixCatalog::new(SizeClass::Tiny);
-    let sparse = catalog.resolve("gen:er:1024:4").expect("resolves");
+    let sparse = catalog.build("gen:er:1024:4").expect("builds");
     let direct = serve_request(
         ServiceKernel::Spmv,
         &sparse,
@@ -281,6 +281,59 @@ fn inline_matrix_market_body_is_served() {
     let reply = post(addr, "/v1/run", &body, TIMEOUT).expect("transport ok");
     assert_eq!(reply.status, 200, "body: {}", reply.body);
     assert_eq!(field(&reply.body, "nnz").as_deref(), Some("4"));
+
+    server.join();
+}
+
+/// `store_bytes: 0` means what its doc says for every matrix source:
+/// nothing becomes resident, named and inline requests alike rebuild
+/// their matrix each time, and the answers stay the direct call's.
+#[test]
+fn disabled_store_rebuilds_named_and_inline_matrices_every_time() {
+    let server = start(ServeConfig {
+        store_bytes: 0,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let catalog = MatrixCatalog::new(SizeClass::Tiny);
+    let mtx = "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 2.0\n2 2 -1.5\n3 1 0.25\n3 3 4.0\n";
+    let cases = [
+        (
+            r#"{"kernel":"spmv","matrix":"gen:er:512:4"}"#.to_string(),
+            catalog.build("gen:er:512:4").expect("builds"),
+        ),
+        (
+            format!(r#"{{"kernel":"spmv","mtx":{mtx:?}}}"#),
+            catalog.resolve_inline(mtx, u64::MAX).expect("parses"),
+        ),
+    ];
+    for (body, sparse) in &cases {
+        let direct = serve_request(
+            ServiceKernel::Spmv,
+            sparse,
+            &PrefetchStrategy::asap(45),
+            ExecEngine::Auto,
+            &Budget::unlimited(),
+        )
+        .expect("direct call succeeds");
+        for round in 0..2 {
+            let reply = post(addr, "/v1/run", body, TIMEOUT).expect("transport ok");
+            assert_eq!(reply.status, 200, "round {round}: {}", reply.body);
+            assert_eq!(
+                field(&reply.body, "checksum"),
+                Some(format!("{:016x}", direct.checksum)),
+                "round {round}: {}",
+                reply.body
+            );
+            assert_eq!(
+                field(&reply.body, "store_hit").as_deref(),
+                Some("false"),
+                "round {round}: nothing is resident to hit"
+            );
+        }
+    }
+    let health = get(addr, "/healthz", TIMEOUT).expect("transport ok");
+    assert_eq!(field(&health.body, "store_entries").as_deref(), Some("0"));
 
     server.join();
 }
