@@ -11,10 +11,8 @@
 //! asap_cli serve --addr 127.0.0.1:7070          # compile-and-execute daemon
 //! ```
 
-use asap_bench::{
-    run_spmm, run_spmm_budgeted, run_spmv, run_spmv_budgeted, sweep_spmv_dir, Variant,
-    SPMM_COLS_F64,
-};
+use asap_bench::{run_cell, sweep_spmv_dir, Cell, Variant, SPMM_COLS_F64};
+use asap_core::{service_c, service_x, ServiceKernel};
 use asap_ir::{Budget, ExecProfile, TraceModel};
 use asap_matrices::{gen, read_matrix_market, Triplets};
 use asap_obs::TeeModel;
@@ -303,15 +301,8 @@ fn profile_main(args: Vec<String>) {
     // and the trace the effectiveness analyzer joins against.
     let mut machine = Machine::new(cfg, hw);
     let mut trace = TraceModel::with_capacity_limit(PROFILE_TRACE_EVENTS);
-    let x: Vec<f64> = (0..tri.ncols)
-        .map(|i| 0.25 + (i % 31) as f64 * 0.125)
-        .collect();
-    let dense_c = DenseTensor::from_f64(
-        vec![tri.ncols, SPMM_COLS_F64],
-        (0..tri.ncols * SPMM_COLS_F64)
-            .map(|i| 0.5 + (i % 13) as f64 * 0.25)
-            .collect(),
-    );
+    let x = service_x(tri.ncols);
+    let dense_c = service_c(tri.ncols, SPMM_COLS_F64);
     {
         let mut tee = TeeModel::new(&mut machine, &mut trace);
         match kernel.as_str() {
@@ -541,7 +532,6 @@ fn main() {
         tri.ncols,
         tri.nnz()
     );
-    let governed = a.fuel.is_some() || a.deadline_ms.is_some();
     let budget = {
         let mut b = Budget::unlimited();
         if let Some(f) = a.fuel {
@@ -552,36 +542,25 @@ fn main() {
         }
         b
     };
-    let outcome = match a.kernel.as_str() {
-        "spmv" if governed => run_spmv_budgeted(
-            &tri, &name, "cli", true, a.variant, a.hw.1, &a.hw.0, cfg, &budget,
-        ),
-        "spmv" => run_spmv(&tri, &name, "cli", true, a.variant, a.hw.1, &a.hw.0, cfg),
-        "spmm" if governed => run_spmm_budgeted(
-            &tri,
-            &name,
-            "cli",
-            true,
-            SPMM_COLS_F64,
-            a.variant,
-            a.hw.1,
-            &a.hw.0,
-            cfg,
-            &budget,
-        ),
-        "spmm" => run_spmm(
-            &tri,
-            &name,
-            "cli",
-            true,
-            SPMM_COLS_F64,
-            a.variant,
-            a.hw.1,
-            &a.hw.0,
-            cfg,
-        ),
+    let kernel = match a.kernel.as_str() {
+        "spmv" => ServiceKernel::Spmv,
+        "spmm" => ServiceKernel::Spmm {
+            cols: SPMM_COLS_F64,
+        },
         _ => usage(),
     };
+    let cell = Cell {
+        tri: &tri,
+        name: &name,
+        group: "cli",
+        unstructured: true,
+        kernel,
+        variant: a.variant,
+        pf: a.hw.1,
+        hw_name: &a.hw.0,
+        cfg,
+    };
+    let outcome = run_cell(&cell, &budget);
     let r = match outcome {
         Ok(r) => r,
         // Governed termination is the budget working as designed: report

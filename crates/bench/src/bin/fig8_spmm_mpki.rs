@@ -5,143 +5,34 @@
 //! (outer-loop prefetching amortizes the instruction overhead), with the
 //! regression line starting near 1.0.
 
-use asap_bench::{
-    cell_key, linear_fit, matrix_threads, parallel_map_isolated_labeled, skip_report, JobFailure,
-    Options, Variant, PAPER_DISTANCE, SPMM_COLS_F64,
-};
-use asap_ir::AsapError;
+use asap_bench::{print_mpki_table, sweep, Options, Variant, PAPER_DISTANCE, SPMM_COLS_F64};
+use asap_core::ServiceKernel;
 use asap_matrices::spmm_collection;
-use asap_sim::{GracemontConfig, PrefetcherConfig};
+use asap_sim::PrefetcherConfig;
 
 fn main() {
-    if let Err(e) = real_main() {
+    let opts = Options::from_args();
+    // Table 2: the L2 AMP stays on for SpMM (2D-stride friendly).
+    let pf = PrefetcherConfig::optimized_spmm();
+    let asap = Variant::Asap {
+        distance: PAPER_DISTANCE,
+    };
+    let configs = [
+        ("optimized", Variant::Baseline, pf),
+        ("optimized", asap, pf),
+    ];
+    let kernel = ServiceKernel::Spmm {
+        cols: SPMM_COLS_F64,
+    };
+    let collection = spmm_collection(opts.size);
+    let result = sweep(&opts, "fig8", collection, kernel, &configs, |rows| {
+        let title = "# Figure 8: SpMM speedup (ASaP/baseline) vs baseline L2 MPKI";
+        if print_mpki_table(title, rows).is_some() {
+            println!("paper reference: y = 0.706x + 0.995 (R^2 = 0.776); slope >> SpMV's");
+        }
+    });
+    if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-}
-
-fn real_main() -> Result<(), AsapError> {
-    let opts = Options::from_args();
-    opts.init_trace();
-    let ckpt = opts
-        .checkpoint("fig8")
-        .map_err(|e| AsapError::io(e.to_string()))?;
-    let ckpt = &ckpt;
-    // Built once: fuel bounds each cell (one meter per run), the
-    // deadline — an absolute instant — bounds the whole sweep.
-    let budget = opts.budget();
-    let budget = &budget;
-    let cfg = GracemontConfig::scaled();
-    // Table 2: the L2 AMP stays on for SpMM (2D-stride friendly).
-    let pf = PrefetcherConfig::optimized_spmm();
-    let mut results = Vec::new();
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    let mut skipped: Vec<JobFailure> = Vec::new();
-
-    println!("# Figure 8: SpMM speedup (ASaP/baseline) vs baseline L2 MPKI");
-    println!(
-        "{:<24} {:>10} {:>10} {:>8}",
-        "matrix", "mpki", "speedup", "nnz(M)"
-    );
-    // Per-matrix baseline/ASaP pairs simulate on crash-isolated pool
-    // workers keyed by the matrix name; one poisoned matrix becomes a
-    // skip-report line instead of killing the sweep. The table prints in
-    // collection order afterwards.
-    let per_matrix = parallel_map_isolated_labeled(
-        spmm_collection(opts.size),
-        matrix_threads(1),
-        2,
-        |m, _| m.name.clone(),
-        |_, m| {
-            let tri = {
-                let _s = asap_obs::span_with("parse.matrix", || vec![("matrix", m.name.clone())]);
-                m.materialize()
-            };
-            let run = || -> Result<_, AsapError> {
-                let base = ckpt.run_cell(
-                    &cell_key(&m.name, "spmm", Variant::Baseline.label(), "optimized", 1),
-                    || run_spmm_checked(&tri, m, Variant::Baseline, pf, cfg, budget),
-                )?;
-                let asap_v = Variant::Asap {
-                    distance: PAPER_DISTANCE,
-                };
-                let asap = ckpt.run_cell(
-                    &cell_key(&m.name, "spmm", asap_v.label(), "optimized", 1),
-                    || run_spmm_checked(&tri, m, asap_v, pf, cfg, budget),
-                )?;
-                Ok((base, asap))
-            };
-            (m.name.clone(), run())
-        },
-    );
-    for (i, row) in per_matrix.into_iter().enumerate() {
-        let (name, outcome) = match row {
-            Ok(pair) => pair,
-            Err(jf) => {
-                skipped.push(jf);
-                continue;
-            }
-        };
-        let (base, asap) = match outcome {
-            Ok(pair) => pair,
-            Err(e) => {
-                skipped.push(JobFailure {
-                    index: i,
-                    label: name,
-                    message: e.to_string(),
-                    attempts: 1,
-                });
-                continue;
-            }
-        };
-        let speedup = asap.throughput / base.throughput;
-        println!(
-            "{:<24} {:>10.2} {:>10.3} {:>8.2}",
-            name,
-            base.l2_mpki,
-            speedup,
-            base.nnz as f64 / 1e6
-        );
-        xs.push(base.l2_mpki);
-        ys.push(speedup);
-        results.push(base);
-        results.push(asap);
-    }
-
-    println!();
-    if xs.len() >= 2 {
-        let (slope, intercept, r2) = linear_fit(&xs, &ys);
-        println!("linear fit: y = {slope:.4}x + {intercept:.3}  (R^2 = {r2:.3})");
-        println!("paper reference: y = 0.706x + 0.995 (R^2 = 0.776); slope >> SpMV's");
-    } else {
-        println!("too few matrices completed for a linear fit");
-    }
-    if !skipped.is_empty() {
-        eprint!("{}", skip_report(&skipped));
-    }
-    opts.save("fig8", &results)?;
-    opts.finish_trace("fig8")?;
-    Ok(())
-}
-
-fn run_spmm_checked(
-    tri: &asap_matrices::Triplets,
-    m: &asap_matrices::MatrixSpec,
-    variant: Variant,
-    pf: PrefetcherConfig,
-    cfg: GracemontConfig,
-    budget: &asap_ir::Budget,
-) -> Result<asap_bench::ExperimentResult, AsapError> {
-    asap_bench::run_spmm_budgeted(
-        tri,
-        &m.name,
-        &m.group,
-        m.unstructured,
-        SPMM_COLS_F64,
-        variant,
-        pf,
-        "optimized",
-        cfg,
-        budget,
-    )
 }

@@ -32,8 +32,10 @@
 //!         [--max-obs-overhead X]`
 
 use asap_bench::PAPER_DISTANCE;
-use asap_core::{cache_stats_full, compile_cached, ExecEngine, PrefetchStrategy};
-use asap_ir::{execute_budgeted, interpret_budgeted, Budget, BufferData, MemoryModel, OpId};
+use asap_core::{
+    cache_stats_full, compile_cached, service_x, Engine, ExecEngine, PrefetchStrategy,
+};
+use asap_ir::{Budget, BufferData, MemoryModel, OpId};
 use asap_matrices::{synthetic_collection, SizeClass};
 use asap_obs::ObjWriter;
 use asap_sparsifier::{bind, KernelSpec};
@@ -210,6 +212,7 @@ fn time_engine(
     let n = sparse.dims()[1];
     let cx = DenseTensor::from_f64(vec![n], x.to_vec());
     let out = DenseTensor::zeros(ValueKind::F64, vec![sparse.dims()[0]]);
+    let chosen = Engine::select(ck, engine, false).map_err(|e| e.to_string())?;
     let mut instructions = 0;
     let mut bits = Vec::new();
     let mut elapsed = 0.0;
@@ -227,26 +230,7 @@ fn time_engine(
         } else {
             None
         };
-        let ran = match engine {
-            ExecEngine::Bytecode => {
-                let prog = ck.program.as_ref().ok_or("kernel has no lowered program")?;
-                execute_budgeted(prog, &bound.args, &mut bound.bufs, &mut model, budget)
-            }
-            ExecEngine::Tier2 => {
-                let plan = ck
-                    .tier2
-                    .as_ref()
-                    .ok_or("kernel has no tier-2 specialization")?;
-                plan.run(&bound.args, &mut bound.bufs, budget)
-            }
-            _ => interpret_budgeted(
-                &ck.kernel.func,
-                &bound.args,
-                &mut bound.bufs,
-                &mut model,
-                budget,
-            ),
-        };
+        let ran = chosen.run(&mut bound, &mut model, budget);
         let rep = start.elapsed().as_secs_f64();
         elapsed += rep;
         min_rep = min_rep.min(rep);
@@ -303,9 +287,7 @@ fn real_main() -> Result<(), String> {
         let sparse = build()?;
         let ck = compile_cached(&spec, sparse.format(), sparse.index_width(), &strategy)
             .map_err(|e| e.to_string())?;
-        let x: Vec<f64> = (0..tri.ncols)
-            .map(|i| 0.25 + (i % 31) as f64 * 0.125)
-            .collect();
+        let x = service_x(tri.ncols);
 
         let (tree_ms, _, tree_instr, tree_bits) = time_engine(
             &ck,

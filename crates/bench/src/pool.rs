@@ -6,6 +6,9 @@
 //! exactly that — `std::thread::scope` workers claiming indices off an
 //! atomic counter, writing results into their input's slot — with no
 //! channels, no rayon, no allocation beyond the result vector.
+//! [`parallel_map_isolated_labeled`] is the same map with each item
+//! under `catch_unwind` and a retry; it is what [`crate::sweep()`] runs
+//! every figure through, so a panicking matrix costs one table row.
 //!
 //! Composition with the simulator's own multi-core mode (Figure 12) is
 //! the subtle part: `asap_sim::run_parallel` spawns one OS thread per
@@ -130,11 +133,12 @@ pub struct JobFailure {
     /// Input-order index of the failed item.
     pub index: usize,
     /// Human-readable identity of the item (e.g. the matrix name) for
-    /// skip reports; `"item N"` when the caller provided no labels.
+    /// skip reports.
     pub label: String,
     /// The final attempt's panic payload, rendered as a string.
     pub message: String,
-    /// How many attempts were made (always `max_attempts`).
+    /// How many attempts were made: `max_attempts` for a panic, 1 for
+    /// a typed error the sweep driver files here without retrying.
     pub attempts: usize,
 }
 
@@ -176,27 +180,13 @@ fn backoff_delay(attempt: usize) -> Duration {
 /// `max_attempts` times with capped exponential backoff; items are
 /// passed by reference so every attempt sees the same input.
 ///
+/// `label` names each item (the matrix name in figure sweeps). The
+/// label travels into any [`JobFailure`] and into the `pool.job` span,
+/// so skip reports and traces name the work, not just its index.
+/// Retries and terminal failures are counted in the `asap-obs` registry
+/// (`pool.retries`, `pool.job_failures`).
+///
 /// Output order matches input order, exactly as in [`parallel_map`].
-pub fn parallel_map_isolated<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    max_attempts: usize,
-    f: F,
-) -> Vec<Result<R, JobFailure>>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_isolated_labeled(items, threads, max_attempts, |_, i| format!("item {i}"), f)
-}
-
-/// As [`parallel_map_isolated`], with a caller-supplied label per item
-/// (the matrix name in figure sweeps). The label travels into any
-/// [`JobFailure`] and into the `pool.job` span, so skip reports and
-/// traces name the work, not just its index. Retries and terminal
-/// failures are counted in the `asap-obs` registry (`pool.retries`,
-/// `pool.job_failures`).
 pub fn parallel_map_isolated_labeled<T, R, L, F>(
     items: Vec<T>,
     threads: usize,
@@ -311,12 +301,18 @@ mod tests {
 
     #[test]
     fn isolated_panic_becomes_a_typed_failure() {
-        let out = parallel_map_isolated((0..8).collect::<Vec<i32>>(), 4, 2, |_, &x| {
-            if x == 3 {
-                panic!("item {x} is cursed");
-            }
-            x * 10
-        });
+        let out = parallel_map_isolated_labeled(
+            (0..8).collect::<Vec<i32>>(),
+            4,
+            2,
+            |_, i| format!("item {i}"),
+            |_, &x| {
+                if x == 3 {
+                    panic!("item {x} is cursed");
+                }
+                x * 10
+            },
+        );
         assert_eq!(out.len(), 8);
         for (i, r) in out.iter().enumerate() {
             if i == 3 {
@@ -359,12 +355,18 @@ mod tests {
     #[test]
     fn flaky_item_succeeds_on_retry() {
         let tries = AtomicUsize::new(0);
-        let out = parallel_map_isolated(vec![()], 1, 3, |_, ()| {
-            if tries.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
-            }
-            42
-        });
+        let out = parallel_map_isolated_labeled(
+            vec![()],
+            1,
+            3,
+            |(), _| "flaky".to_string(),
+            |_, ()| {
+                if tries.fetch_add(1, Ordering::SeqCst) < 2 {
+                    panic!("transient");
+                }
+                42
+            },
+        );
         assert_eq!(out, vec![Ok(42)]);
         assert_eq!(tries.load(Ordering::SeqCst), 3, "two failures then success");
     }

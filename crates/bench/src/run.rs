@@ -1,18 +1,29 @@
 //! Running one (matrix, kernel, variant, prefetcher-config) experiment on
 //! the simulator and extracting the paper's metrics.
 //!
+//! The experiment is a [`Cell`] and there are two ways to run one, each
+//! written once for both kernels: [`run_cell`] on a single simulated
+//! core, and the row-partitioned multi-core body behind the
+//! `run_*_threads` forwards. Both start from the same preparation (CSR
+//! build, cached compile, deterministic dense operand) and bind the
+//! operands in the same order — simulated addresses follow allocation
+//! order, so that order is part of every cycle count.
+//!
 //! All entry points return `Result<_, AsapError>` — a malformed matrix or
 //! a kernel that fails to bind is reported, never a panic. The directory
 //! sweep ([`sweep_spmv_dir`]) goes one step further: a failure on one
 //! matrix is recorded in the [`SweepReport::skipped`] list and the sweep
 //! continues with the rest of the collection.
 
-use asap_core::{compile_cached, CompiledKernel, ExecEngine, PrefetchStrategy};
-use asap_ir::{execute, interpret, AsapError, Budget, V};
+use asap_core::{
+    compile_cached, run_with_engine_budgeted, service_x, CompiledKernel, Engine, ExecEngine,
+    PrefetchStrategy, ServiceKernel,
+};
+use asap_ir::{AsapError, Budget, V};
 use asap_matrices::{read_matrix_market, Triplets};
 use asap_obs::{Json, ObjWriter};
-use asap_sim::{run_parallel, GracemontConfig, Machine, PrefetcherConfig};
-use asap_sparsifier::{bind, KernelArg, KernelSpec};
+use asap_sim::{run_parallel, Counters, GracemontConfig, Machine, PrefetcherConfig};
+use asap_sparsifier::{bind, BoundKernel, KernelArg};
 use asap_tensor::{DenseTensor, Format, SparseTensor, ValueKind};
 use std::path::Path;
 
@@ -190,61 +201,128 @@ pub fn results_to_json(results: &[ExperimentResult]) -> String {
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn result_from(
-    name: &str,
-    group: &str,
-    unstructured: bool,
-    kernel: &str,
-    variant: Variant,
-    hw_name: &str,
-    threads: usize,
-    nnz: usize,
-    cfg: &GracemontConfig,
-    agg: asap_sim::Counters,
-    dram_bytes: u64,
-    warnings: Vec<String>,
-) -> ExperimentResult {
-    let ms = cfg.cycles_to_seconds(agg.cycles) * 1e3;
-    ExperimentResult {
-        matrix: name.to_string(),
-        group: group.to_string(),
-        unstructured,
-        kernel: kernel.to_string(),
-        variant: variant.label().to_string(),
-        hw_config: hw_name.to_string(),
-        threads,
-        nnz,
-        cycles: agg.cycles,
-        instructions: agg.instructions,
-        throughput: nnz as f64 / ms,
-        l2_mpki: agg.l2_mpki(),
-        sw_pf_issued: agg.sw_pf_issued,
-        sw_pf_dropped: agg.sw_pf_dropped,
-        hw_pf_issued: agg.hw_pf_issued,
-        dram_bytes,
-        stall_cycles: agg.stall_cycles,
-        warnings,
+/// One figure cell: the experiment to run — (matrix, kernel, variant,
+/// prefetcher configuration, machine) — and the labels its result
+/// carries into tables, journals and results JSON.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    pub tri: &'a Triplets,
+    pub name: &'a str,
+    pub group: &'a str,
+    pub unstructured: bool,
+    pub kernel: ServiceKernel,
+    pub variant: Variant,
+    pub pf: PrefetcherConfig,
+    pub hw_name: &'a str,
+    pub cfg: GracemontConfig,
+}
+
+impl Cell<'_> {
+    fn result(
+        &self,
+        threads: usize,
+        nnz: usize,
+        agg: Counters,
+        dram_bytes: u64,
+        warnings: Vec<String>,
+    ) -> ExperimentResult {
+        let ms = self.cfg.cycles_to_seconds(agg.cycles) * 1e3;
+        ExperimentResult {
+            matrix: self.name.to_string(),
+            group: self.group.to_string(),
+            unstructured: self.unstructured,
+            kernel: self.kernel.label().to_string(),
+            variant: self.variant.label().to_string(),
+            hw_config: self.hw_name.to_string(),
+            threads,
+            nnz,
+            cycles: agg.cycles,
+            instructions: agg.instructions,
+            throughput: nnz as f64 / ms,
+            l2_mpki: agg.l2_mpki(),
+            sw_pf_issued: agg.sw_pf_issued,
+            sw_pf_dropped: agg.sw_pf_dropped,
+            hw_pf_issued: agg.hw_pf_issued,
+            dram_bytes,
+            stall_cycles: agg.stall_cycles,
+            warnings,
+        }
     }
 }
 
-/// Deterministic dense vector values.
-fn x_vector(n: usize) -> Vec<f64> {
-    (0..n).map(|i| 0.25 + (i % 31) as f64 * 0.125).collect()
+/// What every cell builds before it runs, whole-matrix or per row
+/// partition: the CSR storage, the cached compile, and the kernel's
+/// deterministic dense input beside a zeroed output.
+struct Operands {
+    sparse: SparseTensor,
+    ck: CompiledKernel,
+    dense: DenseTensor,
+    out: DenseTensor,
 }
 
-fn compile_spmv(t: &SparseTensor, variant: Variant) -> Result<CompiledKernel, AsapError> {
-    let spec = KernelSpec::spmv(ValueKind::F64);
-    compile_cached(&spec, t.format(), t.index_width(), &variant.strategy())
+fn prepare(tri: &Triplets, kernel: ServiceKernel, variant: Variant) -> Result<Operands, AsapError> {
+    let sparse = SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())?;
+    let ck = compile_cached(
+        &kernel.spec(),
+        sparse.format(),
+        sparse.index_width(),
+        &variant.strategy(),
+    )?;
+    let (dense, out_dims) = match kernel {
+        ServiceKernel::Spmv => (
+            DenseTensor::from_f64(vec![tri.ncols], service_x(tri.ncols)),
+            vec![tri.nrows],
+        ),
+        ServiceKernel::Spmm { cols } => (
+            DenseTensor::from_f64(
+                vec![tri.ncols, cols],
+                (0..tri.ncols * cols)
+                    .map(|i| 0.5 + (i % 17) as f64 * 0.0625)
+                    .collect(),
+            ),
+            vec![tri.nrows, cols],
+        ),
+    };
+    let out = DenseTensor::zeros(ValueKind::F64, out_dims);
+    Ok(Operands {
+        sparse,
+        ck,
+        dense,
+        out,
+    })
 }
 
 fn warning_strings(ck: &CompiledKernel) -> Vec<String> {
     ck.warnings.iter().map(|w| w.to_string()).collect()
 }
 
-/// The CSR build every figure cell starts with.
-fn to_csr(tri: &Triplets) -> Result<SparseTensor, AsapError> {
-    SparseTensor::try_from_coo(&tri.try_to_coo_f64()?, Format::csr())
+/// Run one cell on a single simulated core under a resource [`Budget`]
+/// and verify the product against the dense reference. Fuel exhaustion,
+/// a missed deadline, or an allocation over the byte ceiling surfaces
+/// as a typed `AsapError::BudgetExceeded` — the run terminates at the
+/// next loop back-edge instead of running (or hanging) to completion.
+pub fn run_cell(cell: &Cell, budget: &Budget) -> Result<ExperimentResult, AsapError> {
+    let mut p = prepare(cell.tri, cell.kernel, cell.variant)?;
+    let mut machine = Machine::new(cell.cfg, cell.pf);
+    run_with_engine_budgeted(
+        &p.ck,
+        &p.sparse,
+        &[&p.dense],
+        &mut p.out,
+        &mut machine,
+        ExecEngine::Auto,
+        budget,
+    )?;
+    // Column 0 of the product against the dense SpMV reference: all of
+    // an SpMV, a spot check of an SpMM.
+    let stride = p.dense.dims.get(1).copied().unwrap_or(1);
+    let column =
+        |t: &DenseTensor| -> Vec<f64> { t.as_f64().iter().step_by(stride).copied().collect() };
+    let reference = cell.tri.dense_spmv(&column(&p.dense));
+    verify_close(&column(&p.out), &reference, cell.name)?;
+    let dram = machine.dram_bytes_total();
+    let warnings = warning_strings(&p.ck);
+    Ok(cell.result(1, p.sparse.nnz(), machine.counters(), dram, warnings))
 }
 
 /// Single-threaded SpMV of `tri` under the given variant and hardware
@@ -261,57 +339,19 @@ pub fn run_spmv(
     hw_name: &str,
     cfg: GracemontConfig,
 ) -> Result<ExperimentResult, AsapError> {
-    run_spmv_budgeted(
+    let kernel = ServiceKernel::Spmv;
+    let cell = Cell {
         tri,
         name,
         group,
         unstructured,
+        kernel,
         variant,
         pf,
         hw_name,
         cfg,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`run_spmv`] under a resource [`Budget`]: fuel exhaustion, a missed
-/// deadline, or an allocation over the byte ceiling surfaces as a typed
-/// `AsapError::BudgetExceeded` — the run terminates at the next loop
-/// back-edge instead of running (or hanging) to completion.
-#[allow(clippy::too_many_arguments)]
-pub fn run_spmv_budgeted(
-    tri: &Triplets,
-    name: &str,
-    group: &str,
-    unstructured: bool,
-    variant: Variant,
-    pf: PrefetcherConfig,
-    hw_name: &str,
-    cfg: GracemontConfig,
-    budget: &Budget,
-) -> Result<ExperimentResult, AsapError> {
-    let sparse = to_csr(tri)?;
-    let ck = compile_spmv(&sparse, variant)?;
-    let x = x_vector(tri.ncols);
-    let mut machine = Machine::new(cfg, pf);
-    let y =
-        asap_core::run_spmv_f64_budgeted(&ck, &sparse, &x, &mut machine, ExecEngine::Auto, budget)?;
-    verify_close(&y, &tri.dense_spmv(&x), name)?;
-    let dram = machine.dram_bytes_total();
-    Ok(result_from(
-        name,
-        group,
-        unstructured,
-        "spmv",
-        variant,
-        hw_name,
-        1,
-        sparse.nnz(),
-        &cfg,
-        machine.counters(),
-        dram,
-        warning_strings(&ck),
-    ))
+    };
+    run_cell(&cell, &Budget::unlimited())
 }
 
 /// Single-threaded SpMM (`A = B·C`, `n_cols` dense columns).
@@ -327,69 +367,19 @@ pub fn run_spmm(
     hw_name: &str,
     cfg: GracemontConfig,
 ) -> Result<ExperimentResult, AsapError> {
-    run_spmm_budgeted(
+    let kernel = ServiceKernel::Spmm { cols: n_cols };
+    let cell = Cell {
         tri,
         name,
         group,
         unstructured,
-        n_cols,
+        kernel,
         variant,
         pf,
         hw_name,
         cfg,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`run_spmm`] under a resource [`Budget`] (see [`run_spmv_budgeted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_spmm_budgeted(
-    tri: &Triplets,
-    name: &str,
-    group: &str,
-    unstructured: bool,
-    n_cols: usize,
-    variant: Variant,
-    pf: PrefetcherConfig,
-    hw_name: &str,
-    cfg: GracemontConfig,
-    budget: &Budget,
-) -> Result<ExperimentResult, AsapError> {
-    let sparse = to_csr(tri)?;
-    let spec = KernelSpec::spmm(ValueKind::F64);
-    let ck = compile_cached(
-        &spec,
-        sparse.format(),
-        sparse.index_width(),
-        &variant.strategy(),
-    )?;
-    let c = DenseTensor::from_f64(
-        vec![tri.ncols, n_cols],
-        (0..tri.ncols * n_cols)
-            .map(|i| 0.5 + (i % 17) as f64 * 0.0625)
-            .collect(),
-    );
-    let mut machine = Machine::new(cfg, pf);
-    let a = asap_core::run_spmm_f64_budgeted(&ck, &sparse, &c, &mut machine, budget)?;
-    // Spot-verify one column against the SpMV reference.
-    let col0: Vec<f64> = (0..tri.ncols).map(|j| c.as_f64()[j * n_cols]).collect();
-    let a0: Vec<f64> = (0..tri.nrows).map(|i| a.as_f64()[i * n_cols]).collect();
-    verify_close(&a0, &tri.dense_spmv(&col0), name)?;
-    let dram = machine.dram_bytes_total();
-    Ok(result_from(
-        name,
-        group,
-        unstructured,
-        "spmm",
-        variant,
-        hw_name,
-        1,
-        sparse.nnz(),
-        &cfg,
-        machine.counters(),
-        dram,
-        warning_strings(&ck),
-    ))
+    };
+    run_cell(&cell, &Budget::unlimited())
 }
 
 /// Slice the contiguous row ranges `parts` (as [`partition_rows`] cuts
@@ -433,16 +423,27 @@ fn partition_rows(tri: &Triplets, n: usize) -> Vec<(usize, usize)> {
     cuts.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Base address where the shared `x` vector is mapped in every thread's
-/// address space (so the shared L3 sees one copy, as on real hardware).
+/// Base address where the shared dense input is mapped in every
+/// thread's address space (so the shared L3 sees one copy, as on real
+/// hardware).
 const SHARED_X_BASE: u64 = 0x40_0000_0000;
 
-/// Per-thread prepared run (kernel + bound buffers).
-struct Prepared {
-    ck: CompiledKernel,
-    bufs: asap_ir::Buffers,
-    args: Vec<V>,
+/// Re-map the bound dense input to [`SHARED_X_BASE`].
+fn share_dense_input(ck: &CompiledKernel, bound: &mut BoundKernel) -> Result<(), AsapError> {
+    let pos = ck
+        .kernel
+        .arg_position(KernelArg::DenseInput { input: 1 })
+        .ok_or_else(|| AsapError::binding("kernel has no dense input argument"))?;
+    let V::Mem(buf) = bound.args[pos] else {
+        return Err(AsapError::binding("dense input did not bind to a buffer"));
+    };
+    bound.bufs.get_mut(buf).base_addr = SHARED_X_BASE;
+    Ok(())
 }
+
+/// One simulated core's share of a row-partitioned cell, handed to its
+/// thread exactly once.
+type Prepared = std::sync::Mutex<Option<(CompiledKernel, BoundKernel)>>;
 
 /// Run prepared per-thread kernels on the shared-uncore simulator,
 /// propagating the first interpreter trap instead of panicking inside
@@ -459,8 +460,8 @@ fn run_prepared_parallel(
     cfg: GracemontConfig,
     pf: PrefetcherConfig,
     n_threads: usize,
-    prepared: Vec<std::sync::Mutex<Option<Prepared>>>,
-) -> Result<(asap_sim::MulticoreResult, u64), AsapError> {
+    prepared: Vec<Prepared>,
+) -> Result<asap_sim::MulticoreResult, AsapError> {
     if n_threads == 0 || n_threads != prepared.len() {
         return Err(AsapError::binding(format!(
             "multicore run: {n_threads} simulated cores for {} prepared partitions",
@@ -473,46 +474,60 @@ fn run_prepared_parallel(
              use pool::matrix_threads(n_threads) to keep multi-core sweeps serial",
         ));
     }
-    let total_dram = std::sync::atomic::AtomicU64::new(0);
     let errors: std::sync::Mutex<Vec<AsapError>> = std::sync::Mutex::new(Vec::new());
     let result = run_parallel(cfg, pf, n_threads, |tid, machine| {
         // invariant: each tid owns exactly one slot, taken exactly once;
         // a poisoned lock can only follow a panic elsewhere, so treat it
         // as "nothing to run" rather than panicking again.
-        let Some(mut p) = prepared[tid].lock().ok().and_then(|mut s| s.take()) else {
+        let Some((ck, mut bound)) = prepared[tid].lock().ok().and_then(|mut s| s.take()) else {
             return;
         };
-        // Same engine dispatch as asap_core::run_with_engine(Auto).
-        let ran = match &p.ck.program {
-            Some(prog) => execute(prog, &p.args, &mut p.bufs, machine),
-            None => interpret(&p.ck.kernel.func, &p.args, &mut p.bufs, machine),
-        };
+        let ran = Engine::select(&ck, ExecEngine::Auto, false)
+            .and_then(|engine| engine.run(&mut bound, machine, &Budget::unlimited()));
         if let Err(e) = ran {
             if let Ok(mut errs) = errors.lock() {
-                errs.push(e.into());
+                errs.push(e);
             }
-            return;
         }
-        total_dram.store(
-            machine.dram_bytes_total(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
     });
-    if let Some(e) = errors
+    match errors
         .into_inner()
         .ok()
         .and_then(|mut v| v.drain(..).next())
     {
-        return Err(e);
+        Some(e) => Err(e),
+        None => Ok(result),
     }
-    let dram = total_dram.load(std::sync::atomic::Ordering::Relaxed);
-    Ok((result, dram))
 }
 
-/// Multi-threaded SpMV: contiguous row partitions of roughly equal nnz,
-/// one simulated core per thread, shared L3/DRAM, `x` mapped at the same
-/// address in all cores (paper Figure 12 setup, the sparsifier's
+/// Run one cell row-partitioned over `n_threads` simulated cores:
+/// contiguous row partitions of roughly equal nnz, one core per
+/// partition, shared L3/DRAM, the dense input mapped at the same address
+/// in all cores (paper Figure 12 setup, the sparsifier's
 /// `dense-outer-loop` parallelization strategy).
+fn run_cell_threads(cell: &Cell, n_threads: usize) -> Result<ExperimentResult, AsapError> {
+    let parts = partition_rows(cell.tri, n_threads);
+    let mut warnings = Vec::new();
+    let mut prepared = Vec::with_capacity(parts.len());
+    for slice in row_slices(cell.tri, &parts) {
+        let p = prepare(&slice, cell.kernel, cell.variant)?;
+        let mut bound = bind(&p.ck.kernel, &p.sparse, &[&p.dense], &p.out)?;
+        share_dense_input(&p.ck, &mut bound)?;
+        warnings.extend(warning_strings(&p.ck));
+        prepared.push(Prepared::new(Some((p.ck, bound))));
+    }
+    let result = run_prepared_parallel(cell.cfg, cell.pf, n_threads, prepared)?;
+    Ok(cell.result(
+        n_threads,
+        cell.tri.nnz(),
+        result.aggregate,
+        result.dram_bytes,
+        warnings,
+    ))
+}
+
+/// Multi-threaded SpMV (row-partitioned, shared `x`; see
+/// `run_cell_threads`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_spmv_threads(
     tri: &Triplets,
@@ -525,50 +540,19 @@ pub fn run_spmv_threads(
     cfg: GracemontConfig,
     n_threads: usize,
 ) -> Result<ExperimentResult, AsapError> {
-    let x = x_vector(tri.ncols);
-    let parts = partition_rows(tri, n_threads);
-
-    let mut warnings = Vec::new();
-    let mut prepared: Vec<std::sync::Mutex<Option<Prepared>>> = Vec::with_capacity(parts.len());
-    for (&(r0, r1), slice) in parts.iter().zip(row_slices(tri, &parts)) {
-        let sparse = to_csr(&slice)?;
-        let ck = compile_spmv(&sparse, variant)?;
-        let xt = DenseTensor::from_f64(vec![tri.ncols], x.clone());
-        let out = DenseTensor::zeros(ValueKind::F64, vec![r1 - r0]);
-        let mut bound = bind(&ck.kernel, &sparse, &[&xt], &out)?;
-        // Re-map the x buffer to the shared address.
-        let x_pos = ck
-            .kernel
-            .arg_position(KernelArg::DenseInput { input: 1 })
-            .ok_or_else(|| AsapError::binding("spmv kernel has no dense input argument"))?;
-        let V::Mem(x_buf) = bound.args[x_pos] else {
-            return Err(AsapError::binding("dense input did not bind to a buffer"));
-        };
-        bound.bufs.get_mut(x_buf).base_addr = SHARED_X_BASE;
-        warnings.extend(warning_strings(&ck));
-        prepared.push(std::sync::Mutex::new(Some(Prepared {
-            ck,
-            bufs: bound.bufs,
-            args: bound.args,
-        })));
-    }
-
-    let nnz = tri.nnz();
-    let (result, dram) = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
-    Ok(result_from(
+    let kernel = ServiceKernel::Spmv;
+    let cell = Cell {
+        tri,
         name,
         group,
         unstructured,
-        "spmv",
+        kernel,
         variant,
+        pf,
         hw_name,
-        n_threads,
-        nnz,
-        &cfg,
-        result.aggregate,
-        dram.max(result.dram_bytes),
-        warnings,
-    ))
+        cfg,
+    };
+    run_cell_threads(&cell, n_threads)
 }
 
 /// Multi-threaded SpMM (row-partitioned, shared dense C).
@@ -585,57 +569,19 @@ pub fn run_spmm_threads(
     cfg: GracemontConfig,
     n_threads: usize,
 ) -> Result<ExperimentResult, AsapError> {
-    let parts = partition_rows(tri, n_threads);
-    let spec = KernelSpec::spmm(ValueKind::F64);
-    let cvals: Vec<f64> = (0..tri.ncols * n_cols)
-        .map(|i| 0.5 + (i % 17) as f64 * 0.0625)
-        .collect();
-
-    let mut warnings = Vec::new();
-    let mut prepared: Vec<std::sync::Mutex<Option<Prepared>>> = Vec::with_capacity(parts.len());
-    for (&(r0, r1), slice) in parts.iter().zip(row_slices(tri, &parts)) {
-        let sparse = to_csr(&slice)?;
-        let ck = compile_cached(
-            &spec,
-            sparse.format(),
-            sparse.index_width(),
-            &variant.strategy(),
-        )?;
-        let ct = DenseTensor::from_f64(vec![tri.ncols, n_cols], cvals.clone());
-        let out = DenseTensor::zeros(ValueKind::F64, vec![r1 - r0, n_cols]);
-        let mut bound = bind(&ck.kernel, &sparse, &[&ct], &out)?;
-        let c_pos = ck
-            .kernel
-            .arg_position(KernelArg::DenseInput { input: 1 })
-            .ok_or_else(|| AsapError::binding("spmm kernel has no dense input argument"))?;
-        let V::Mem(c_buf) = bound.args[c_pos] else {
-            return Err(AsapError::binding("dense input did not bind to a buffer"));
-        };
-        bound.bufs.get_mut(c_buf).base_addr = SHARED_X_BASE;
-        warnings.extend(warning_strings(&ck));
-        prepared.push(std::sync::Mutex::new(Some(Prepared {
-            ck,
-            bufs: bound.bufs,
-            args: bound.args,
-        })));
-    }
-
-    let nnz = tri.nnz();
-    let (result, dram) = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
-    Ok(result_from(
+    let kernel = ServiceKernel::Spmm { cols: n_cols };
+    let cell = Cell {
+        tri,
         name,
         group,
         unstructured,
-        "spmm",
+        kernel,
         variant,
+        pf,
         hw_name,
-        n_threads,
-        nnz,
-        &cfg,
-        result.aggregate,
-        dram.max(result.dram_bytes),
-        warnings,
-    ))
+        cfg,
+    };
+    run_cell_threads(&cell, n_threads)
 }
 
 fn verify_close(got: &[f64], want: &[f64], name: &str) -> Result<(), AsapError> {
@@ -940,34 +886,23 @@ mod tests {
     #[test]
     fn budgeted_run_traps_with_typed_error() {
         let tri = gen::erdos_renyi(256, 4, 7);
-        let err = run_spmv_budgeted(
-            &tri,
-            "er",
-            "g",
-            true,
-            Variant::Baseline,
-            PrefetcherConfig::all_off(),
-            "off",
-            cfg(),
-            &Budget::unlimited().with_fuel(3),
-        )
-        .unwrap_err();
+        let cell = Cell {
+            tri: &tri,
+            name: "er",
+            group: "g",
+            unstructured: true,
+            kernel: ServiceKernel::Spmv,
+            variant: Variant::Baseline,
+            pf: PrefetcherConfig::all_off(),
+            hw_name: "off",
+            cfg: cfg(),
+        };
+        let err = run_cell(&cell, &Budget::unlimited().with_fuel(3)).unwrap_err();
         assert_eq!(err.kind(), "budget");
         let v = err.budget_violation().expect("structured violation");
         assert_eq!(v.limit, 3);
         // A generous budget completes and still verifies the result.
-        let ok = run_spmv_budgeted(
-            &tri,
-            "er",
-            "g",
-            true,
-            Variant::Baseline,
-            PrefetcherConfig::all_off(),
-            "off",
-            cfg(),
-            &Budget::unlimited().with_fuel(100_000_000),
-        )
-        .unwrap();
+        let ok = run_cell(&cell, &Budget::unlimited().with_fuel(100_000_000)).unwrap();
         assert!(ok.cycles > 0);
     }
 

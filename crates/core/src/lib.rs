@@ -29,10 +29,9 @@ pub use cache::{
     cache_len, cache_stats_full, compile_cached, compile_cached_stat, CacheStats, CACHE_SHARDS,
 };
 pub use pipeline::{
-    compile, compile_with_width, run, run_profiled, run_spmm_f64, run_spmm_f64_budgeted,
-    run_spmm_f64_with, run_spmv_f64, run_spmv_f64_budgeted, run_spmv_f64_engine, run_spmv_f64_with,
-    run_with_engine, run_with_engine_budgeted, CompileWarning, CompiledKernel, ExecEngine,
-    PrefetchStrategy,
+    compile, compile_with_width, run, run_profiled, run_spmm_f64, run_spmm_f64_with, run_spmv_f64,
+    run_spmv_f64_budgeted, run_spmv_f64_with, run_with_engine_budgeted, CompileWarning,
+    CompiledKernel, Engine, ExecEngine, PrefetchStrategy,
 };
 pub use service::{
     checksum_f64, compile_for, execute_request, fingerprint64, serve_request, service_c, service_x,

@@ -19,9 +19,10 @@ use crate::aj::{ainsworth_jones, AjConfig};
 use crate::asap::{AsapConfig, AsapHook};
 use asap_ir::{
     cse, dce, execute_budgeted, execute_budgeted_profiled, fold, interpret_budgeted, licm, lower,
-    AsapError, BinOp, Budget, ExecProfile, MemoryModel, Op, OpKind, Program, Tier2Plan, Type,
+    AsapError, BinOp, Budget, ExecProfile, Function, MemoryModel, Op, OpKind, Program, Tier2Plan,
+    Type,
 };
-use asap_sparsifier::{bind, read_back, sparsify, KernelSpec, SparsifiedKernel};
+use asap_sparsifier::{bind, read_back, sparsify, BoundKernel, KernelSpec, SparsifiedKernel};
 use asap_tensor::{DenseTensor, Format, IndexWidth, SparseTensor, ValueKind};
 
 /// Which software-prefetching variant to compile (paper Section 4.3).
@@ -208,7 +209,7 @@ fn compile_exact(
 
 /// Corrupt a function so verification fails: prepend an op whose operand
 /// value is never defined. Used by [`PrefetchStrategy::FaultInjection`].
-fn poison(func: &mut asap_ir::Function) {
+fn poison(func: &mut Function) {
     let undefined = func.fresh_value(Type::Index);
     let result = func.fresh_value(Type::Index);
     let id = func.fresh_op_id();
@@ -268,15 +269,15 @@ pub fn compile(
     compile_with_width(spec, format, IndexWidth::U32, strategy)
 }
 
-/// Which interpreter executes a compiled kernel. Tree-walk and bytecode
-/// are observationally identical (same results, same memory-event
-/// stream); tier-2 is bit- and error-exact but reports no memory events.
+/// Which interpreter a caller asks for. Tree-walk and bytecode are
+/// observationally identical (same results, same memory-event stream);
+/// tier-2 is bit- and error-exact but reports no memory events.
+/// [`Engine::select`] turns the request into the engine that runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// Bytecode when the kernel has a lowered [`Program`], else tree-walk.
-    /// Never tier-2: `Auto` callers may attach a memory model, and the
-    /// event stream must stay faithful. The serving layer (which runs
-    /// model-free) upgrades `Auto` to tier-2 itself.
+    /// The fastest engine that keeps the run faithful: tier-2 on a
+    /// model-free run of a specialized kernel, else bytecode when the
+    /// kernel has a lowered [`Program`], else tree-walk.
     Auto,
     /// The original recursive tree-walking interpreter.
     TreeWalk,
@@ -288,6 +289,81 @@ pub enum ExecEngine {
     Tier2,
 }
 
+/// The engine a run resolved to, borrowing what it executes from the
+/// [`CompiledKernel`]. Engine choice lives here and nowhere else:
+/// [`Engine::select`] decides, [`Engine::run`] executes over bound
+/// operands, [`Engine::label`] names the choice on the wire.
+#[derive(Debug, Clone, Copy)]
+pub enum Engine<'a> {
+    TreeWalk(&'a Function),
+    Bytecode(&'a Program),
+    Tier2(&'a Tier2Plan),
+}
+
+impl<'a> Engine<'a> {
+    /// Resolve `requested` against what `ck` was compiled with.
+    /// `model_free` says the caller runs under `NullModel` and nothing
+    /// reads the memory-event stream — the one observable tier-2 gives
+    /// up — so `Auto` may take the native plan; a caller that attaches a
+    /// model (or cannot tell) passes `false` and `Auto` stays on the VM.
+    /// Explicit requests are honored verbatim or refused with a typed
+    /// `binding` error, never silently downgraded.
+    pub fn select(
+        ck: &'a CompiledKernel,
+        requested: ExecEngine,
+        model_free: bool,
+    ) -> Result<Engine<'a>, AsapError> {
+        let tree = Engine::TreeWalk(&ck.kernel.func);
+        let program = ck.program.as_ref().map(Engine::Bytecode);
+        let plan = ck.tier2.as_ref().map(Engine::Tier2);
+        match requested {
+            ExecEngine::TreeWalk => Ok(tree),
+            ExecEngine::Auto => Ok(plan.filter(|_| model_free).or(program).unwrap_or(tree)),
+            ExecEngine::Bytecode => program.ok_or_else(|| {
+                AsapError::binding(
+                    "bytecode engine requested but the kernel has no lowered program",
+                )
+            }),
+            ExecEngine::Tier2 => plan.ok_or_else(|| {
+                AsapError::binding(
+                    "tier-2 engine requested but the kernel has no native specialization",
+                )
+            }),
+        }
+    }
+
+    /// The engine's name in spans and in the served `engine` field.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Engine::TreeWalk(_) => "tree-walk",
+            Engine::Bytecode(_) => "bytecode",
+            Engine::Tier2(_) => "tier2",
+        }
+    }
+
+    /// Execute over already-bound operands. Opens no span and checks no
+    /// byte ceiling — `perfstat` times exactly this call, and
+    /// [`run_with_engine_budgeted`] wraps it with both.
+    pub fn run<M: MemoryModel + ?Sized>(
+        &self,
+        bound: &mut BoundKernel,
+        model: &mut M,
+        budget: &Budget,
+    ) -> Result<(), AsapError> {
+        match self {
+            Engine::TreeWalk(f) => {
+                interpret_budgeted(f, &bound.args, &mut bound.bufs, model, budget)?
+            }
+            Engine::Bytecode(p) => {
+                execute_budgeted(p, &bound.args, &mut bound.bufs, model, budget)?
+            }
+            // Tier-2 bypasses the model by design (no events to report).
+            Engine::Tier2(plan) => plan.run(&bound.args, &mut bound.bufs, budget)?,
+        };
+        Ok(())
+    }
+}
+
 /// Run a compiled kernel (generic operands) under the given memory model.
 pub fn run<M: MemoryModel + ?Sized>(
     ck: &CompiledKernel,
@@ -296,28 +372,16 @@ pub fn run<M: MemoryModel + ?Sized>(
     out: &mut DenseTensor,
     model: &mut M,
 ) -> Result<(), AsapError> {
-    run_with_engine(ck, sparse, dense, out, model, ExecEngine::Auto)
+    let unlimited = Budget::unlimited();
+    run_with_engine_budgeted(ck, sparse, dense, out, model, ExecEngine::Auto, &unlimited)
 }
 
-/// As [`run`], with an explicit engine choice (the A/B instrument used by
-/// `perfstat` and the differential suites).
-pub fn run_with_engine<M: MemoryModel + ?Sized>(
-    ck: &CompiledKernel,
-    sparse: &SparseTensor,
-    dense: &[&DenseTensor],
-    out: &mut DenseTensor,
-    model: &mut M,
-    engine: ExecEngine,
-) -> Result<(), AsapError> {
-    run_with_engine_budgeted(ck, sparse, dense, out, model, engine, &Budget::unlimited())
-}
-
-/// As [`run_with_engine`], governed by a resource [`Budget`]: the bytes
-/// ceiling is checked eagerly against the bound operand buffers, and the
-/// fuel/deadline/cancellation limits are threaded into whichever engine
-/// runs. Exceeding any limit yields [`AsapError::BudgetExceeded`] — never
-/// a hang, never a panic — at an observationally equivalent point in both
-/// engines.
+/// As [`run`] with an explicit engine request, governed by a resource
+/// [`Budget`]: the bytes ceiling is checked eagerly against the bound
+/// operand buffers, and the fuel/deadline/cancellation limits are
+/// threaded into whichever engine runs. Exceeding any limit yields
+/// [`AsapError::BudgetExceeded`] — never a hang, never a panic — at an
+/// observationally equivalent point in every engine.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_engine_budgeted<M: MemoryModel + ?Sized>(
     ck: &CompiledKernel,
@@ -328,44 +392,33 @@ pub fn run_with_engine_budgeted<M: MemoryModel + ?Sized>(
     engine: ExecEngine,
     budget: &Budget,
 ) -> Result<(), AsapError> {
+    bind_and_run(ck, sparse, dense, out, model, engine, false, budget).map(|_| ())
+}
+
+/// Bind, check the byte ceiling, select, execute under the `exec` span,
+/// read back; returns the label of the engine that ran. The body of
+/// [`run_with_engine_budgeted`], plus the `model_free` bit only the
+/// serving entry point may set.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bind_and_run<M: MemoryModel + ?Sized>(
+    ck: &CompiledKernel,
+    sparse: &SparseTensor,
+    dense: &[&DenseTensor],
+    out: &mut DenseTensor,
+    model: &mut M,
+    engine: ExecEngine,
+    model_free: bool,
+    budget: &Budget,
+) -> Result<&'static str, AsapError> {
     let mut bound = bind(&ck.kernel, sparse, dense, out)?;
     budget.check_bytes(bound.bufs.bytes_allocated())?;
-    enum Chosen<'a> {
-        Tree,
-        Byte(&'a Program),
-        Native(&'a Tier2Plan),
-    }
-    let chosen = match engine {
-        ExecEngine::TreeWalk => Chosen::Tree,
-        ExecEngine::Auto => ck.program.as_ref().map_or(Chosen::Tree, Chosen::Byte),
-        ExecEngine::Bytecode => Chosen::Byte(ck.program.as_ref().ok_or_else(|| {
-            AsapError::binding("bytecode engine requested but the kernel has no lowered program")
-        })?),
-        ExecEngine::Tier2 => Chosen::Native(ck.tier2.as_ref().ok_or_else(|| {
-            AsapError::binding(
-                "tier-2 engine requested but the kernel has no native specialization",
-            )
-        })?),
-    };
+    let chosen = Engine::select(ck, engine, model_free)?;
     {
-        let _s = asap_obs::span_with("exec", || {
-            let engine = match &chosen {
-                Chosen::Tree => "tree-walk",
-                Chosen::Byte(_) => "bytecode",
-                Chosen::Native(_) => "tier2",
-            };
-            vec![("engine", engine.to_string())]
-        });
-        match chosen {
-            Chosen::Byte(p) => execute_budgeted(p, &bound.args, &mut bound.bufs, model, budget)?,
-            Chosen::Tree => {
-                interpret_budgeted(&ck.kernel.func, &bound.args, &mut bound.bufs, model, budget)?
-            }
-            // Tier-2 bypasses the model by design (no events to report).
-            Chosen::Native(plan) => plan.run(&bound.args, &mut bound.bufs, budget)?,
-        };
+        let _s = asap_obs::span_with("exec", || vec![("engine", chosen.label().to_string())]);
+        chosen.run(&mut bound, model, budget)?;
     }
-    read_back(out, &bound)
+    read_back(out, &bound)?;
+    Ok(chosen.label())
 }
 
 /// As [`run`] on the bytecode engine, additionally collecting a
@@ -415,18 +468,7 @@ pub fn run_spmv_f64_with<M: MemoryModel + ?Sized>(
     x: &[f64],
     model: &mut M,
 ) -> Result<Vec<f64>, AsapError> {
-    run_spmv_f64_engine(ck, b, x, model, ExecEngine::Auto)
-}
-
-/// SpMV over f64 with an explicit execution engine.
-pub fn run_spmv_f64_engine<M: MemoryModel + ?Sized>(
-    ck: &CompiledKernel,
-    b: &SparseTensor,
-    x: &[f64],
-    model: &mut M,
-    engine: ExecEngine,
-) -> Result<Vec<f64>, AsapError> {
-    run_spmv_f64_budgeted(ck, b, x, model, engine, &Budget::unlimited())
+    run_spmv_f64_budgeted(ck, b, x, model, ExecEngine::Auto, &Budget::unlimited())
 }
 
 /// SpMV over f64 with an explicit engine, governed by `budget`.
@@ -468,17 +510,6 @@ pub fn run_spmm_f64_with<M: MemoryModel + ?Sized>(
     c: &DenseTensor,
     model: &mut M,
 ) -> Result<DenseTensor, AsapError> {
-    run_spmm_f64_budgeted(ck, b, c, model, &Budget::unlimited())
-}
-
-/// SpMM over f64, governed by `budget`.
-pub fn run_spmm_f64_budgeted<M: MemoryModel + ?Sized>(
-    ck: &CompiledKernel,
-    b: &SparseTensor,
-    c: &DenseTensor,
-    model: &mut M,
-    budget: &Budget,
-) -> Result<DenseTensor, AsapError> {
     if c.dims.len() != 2 {
         return Err(AsapError::binding(format!(
             "dense operand must be a matrix, got rank {}",
@@ -486,13 +517,14 @@ pub fn run_spmm_f64_budgeted<M: MemoryModel + ?Sized>(
         )));
     }
     let mut a = DenseTensor::zeros(ValueKind::F64, vec![b.dims()[0], c.dims[1]]);
-    run_with_engine_budgeted(ck, b, &[c], &mut a, model, ExecEngine::Auto, budget)?;
+    run(ck, b, &[c], &mut a, model)?;
     Ok(a)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_ir::NullModel;
     use asap_tensor::{CooTensor, Values};
 
     fn paper_tensor(fmt: Format) -> SparseTensor {
@@ -665,9 +697,11 @@ mod tests {
         let plan = ck.tier2.as_ref().expect("CSR ASaP SpMV must specialize");
         assert_eq!(plan.label(), "spmv");
         assert_eq!(plan.key(), "spmv:d45:c90");
-        let mut model = asap_ir::NullModel;
-        let vm = run_spmv_f64_engine(&ck, &b, &x, &mut model, ExecEngine::Bytecode).unwrap();
-        let t2 = run_spmv_f64_engine(&ck, &b, &x, &mut model, ExecEngine::Tier2).unwrap();
+        let run = |engine| {
+            run_spmv_f64_budgeted(&ck, &b, &x, &mut NullModel, engine, &Budget::unlimited())
+        };
+        let vm = run(ExecEngine::Bytecode).unwrap();
+        let t2 = run(ExecEngine::Tier2).unwrap();
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(bits(&vm), bits(&t2));
         assert_eq!(t2, vec![201.0, 0.0, 300.0]);
@@ -683,8 +717,16 @@ mod tests {
         assert_eq!(plan.label(), "spmm");
         let vm = run_spmm_f64(&ck, &b, &c).unwrap();
         let mut out = DenseTensor::zeros(ValueKind::F64, vec![3, 2]);
-        let mut model = asap_ir::NullModel;
-        run_with_engine(&ck, &b, &[&c], &mut out, &mut model, ExecEngine::Tier2).unwrap();
+        run_with_engine_budgeted(
+            &ck,
+            &b,
+            &[&c],
+            &mut out,
+            &mut NullModel,
+            ExecEngine::Tier2,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(vm.as_f64(), out.as_f64());
         assert_eq!(&out.as_f64()[0..2], &[11.0, 14.0]);
     }
@@ -701,11 +743,83 @@ mod tests {
         // Requesting tier-2 explicitly on such a kernel is a typed
         // binding error, never a silent fallback.
         let b = paper_tensor(Format::csr());
-        let mut model = asap_ir::NullModel;
-        let err =
-            run_spmv_f64_engine(&base, &b, &[1.0; 3], &mut model, ExecEngine::Tier2).unwrap_err();
+        let err = run_spmv_f64_budgeted(
+            &base,
+            &b,
+            &[1.0; 3],
+            &mut NullModel,
+            ExecEngine::Tier2,
+            &Budget::unlimited(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), "binding");
         assert!(err.to_string().contains("no native specialization"));
+    }
+
+    #[test]
+    fn engine_selection_table() {
+        const NO_PROGRAM: &str = "bytecode engine requested but the kernel has no lowered program";
+        const NO_PLAN: &str = "tier-2 engine requested but the kernel has no native specialization";
+        let spec = KernelSpec::spmv(ValueKind::F64);
+        let full = compile(&spec, &Format::csr(), &PrefetchStrategy::asap(45)).unwrap();
+        assert!(full.program.is_some() && full.tier2.is_some());
+        use ExecEngine::*;
+        // (requested, has program, has plan, model-free) -> label or message.
+        type Case = (
+            ExecEngine,
+            bool,
+            bool,
+            bool,
+            Result<&'static str, &'static str>,
+        );
+        let table: &[Case] = &[
+            (Auto, true, true, true, Ok("tier2")),
+            (Auto, true, true, false, Ok("bytecode")),
+            (Auto, true, false, true, Ok("bytecode")),
+            (Auto, true, false, false, Ok("bytecode")),
+            (Auto, false, true, true, Ok("tier2")),
+            (Auto, false, true, false, Ok("tree-walk")),
+            (Auto, false, false, true, Ok("tree-walk")),
+            (Auto, false, false, false, Ok("tree-walk")),
+            (TreeWalk, true, true, true, Ok("tree-walk")),
+            (TreeWalk, true, true, false, Ok("tree-walk")),
+            (TreeWalk, false, false, true, Ok("tree-walk")),
+            (TreeWalk, false, false, false, Ok("tree-walk")),
+            (Bytecode, true, true, true, Ok("bytecode")),
+            (Bytecode, true, false, false, Ok("bytecode")),
+            (Bytecode, false, true, true, Err(NO_PROGRAM)),
+            (Bytecode, false, false, false, Err(NO_PROGRAM)),
+            (Tier2, true, true, true, Ok("tier2")),
+            (Tier2, true, true, false, Ok("tier2")),
+            (Tier2, false, true, false, Ok("tier2")),
+            (Tier2, true, false, true, Err(NO_PLAN)),
+            (Tier2, false, false, false, Err(NO_PLAN)),
+        ];
+        for &(requested, has_program, has_plan, model_free, want) in table {
+            let mut ck = full.clone();
+            if !has_program {
+                ck.program = None;
+            }
+            if !has_plan {
+                ck.tier2 = None;
+            }
+            let got = Engine::select(&ck, requested, model_free);
+            let case = format!(
+                "{requested:?} program={has_program} plan={has_plan} model_free={model_free}"
+            );
+            match (got, want) {
+                (Ok(e), Ok(label)) => assert_eq!(e.label(), label, "{case}"),
+                (Err(e), Err(msg)) => {
+                    assert_eq!(e.kind(), "binding", "{case}");
+                    assert_eq!(
+                        e.to_string(),
+                        format!("operand binding error: {msg}"),
+                        "{case}"
+                    );
+                }
+                (got, want) => panic!("{case}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

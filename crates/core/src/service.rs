@@ -17,9 +17,7 @@
 //! against any other run of the same (matrix, kernel, variant).
 
 use crate::cache::compile_cached_stat;
-use crate::pipeline::{
-    run_spmv_f64_budgeted, run_with_engine_budgeted, CompiledKernel, ExecEngine, PrefetchStrategy,
-};
+use crate::pipeline::{bind_and_run, CompiledKernel, ExecEngine, PrefetchStrategy};
 use asap_ir::{AsapError, Budget, NullModel};
 use asap_sparsifier::KernelSpec;
 use asap_tensor::{DenseTensor, SparseTensor, ValueKind};
@@ -148,39 +146,35 @@ pub fn execute_request(
 ) -> Result<ServiceOutcome, AsapError> {
     let rows = sparse.dims()[0];
     let cols = sparse.dims()[1];
+    let t0 = Instant::now();
+    let (dense, mut out) = match kernel {
+        ServiceKernel::Spmv => (
+            DenseTensor::from_f64(vec![cols], service_x(cols)),
+            DenseTensor::zeros(ValueKind::F64, vec![rows]),
+        ),
+        ServiceKernel::Spmm { cols: 0 } => {
+            return Err(AsapError::binding("spmm column count must be positive"));
+        }
+        ServiceKernel::Spmm { cols: k } => (
+            service_c(cols, k),
+            DenseTensor::zeros(ValueKind::F64, vec![rows, k]),
+        ),
+    };
     // The service always executes under `NullModel`, so the one
     // observable tier-2 gives up — the memory-event stream — is moot
-    // here. `Auto` therefore upgrades to the native specialization
-    // whenever the compile produced one; explicit engine requests are
-    // honored verbatim.
-    let engine = match engine {
-        ExecEngine::Auto if ck.tier2.is_some() => ExecEngine::Tier2,
-        e => e,
-    };
-    let t0 = Instant::now();
-    let checksum = match kernel {
-        ServiceKernel::Spmv => {
-            let x = service_x(cols);
-            let y = run_spmv_f64_budgeted(ck, sparse, &x, &mut NullModel, engine, budget)?;
-            checksum_f64(&y)
-        }
-        ServiceKernel::Spmm { cols: k } => {
-            if k == 0 {
-                return Err(AsapError::binding("spmm column count must be positive"));
-            }
-            let c = service_c(cols, k);
-            let mut out = DenseTensor::zeros(ValueKind::F64, vec![rows, k]);
-            run_with_engine_budgeted(ck, sparse, &[&c], &mut out, &mut NullModel, engine, budget)?;
-            checksum_f64(out.as_f64())
-        }
-    };
+    // here: the run is model-free and `Auto` may take the native plan.
+    let engine_used = bind_and_run(
+        ck,
+        sparse,
+        &[&dense],
+        &mut out,
+        &mut NullModel,
+        engine,
+        true,
+        budget,
+    )?;
+    let checksum = checksum_f64(out.as_f64());
     let exec_ns = t0.elapsed().as_nanos() as u64;
-    let engine_used = match engine {
-        ExecEngine::TreeWalk => "tree-walk",
-        ExecEngine::Tier2 => "tier2",
-        _ if ck.program.is_some() => "bytecode",
-        _ => "tree-walk",
-    };
     Ok(ServiceOutcome {
         checksum,
         rows,
