@@ -21,8 +21,9 @@
 //!
 //! A further timing configuration re-runs the bytecode engine with the
 //! (disabled) span-recorder instrumentation exercised every rep — the
-//! `obs_overhead` column verifies asap-obs's contract that dormant
-//! instrumentation costs under 2%. Both ratio gates (budget, obs) use
+//! `obs_overhead` column measures what dormant instrumentation costs
+//! (CI gates it at 5%: the reading's own A/A spread on one tree is
+//! −3.5 % … +3.3 %, DESIGN.md §10.1). Both ratio gates (budget, obs) use
 //! min-of-reps on *both* arms: totals on a shared runner are jittery
 //! enough to report negative overheads, while the per-arm minimum
 //! strips scheduler spikes symmetrically.
@@ -147,8 +148,8 @@ struct Row {
     tree_ms: f64,
     byte_ms: f64,
     /// Bytecode again, but with an armed (never-tripping) fuel meter:
-    /// the cost of the budget check on every loop back-edge and inside
-    /// the SpmvLoop superinstruction's fast path.
+    /// the cost of the budget check on every loop back-edge and on
+    /// every iteration the `SpmvLoop` guard runs on typed slices.
     governed_ms: f64,
     /// Tier-2 native specialization (prefetch distances baked in).
     tier2_ms: f64,
@@ -423,7 +424,8 @@ fn real_main() -> Result<(), String> {
     );
     println!(
         "observability: dormant instrumentation {obs_min_total:.1} ms vs {byte_min_total:.1} ms \
-         (min-of-reps), overhead {:+.1}% (contract: <2% when the recorder is off)",
+         (min-of-reps), overhead {:+.1}% (gate: --max-obs-overhead; CI passes 0.05, \
+         what this reading's A/A spread resolves)",
         100.0 * obs_overhead
     );
     println!(

@@ -731,6 +731,86 @@ mod tests {
         assert_eq!(&out.as_f64()[0..2], &[11.0, 14.0]);
     }
 
+    /// The whole extracted plan — argument positions, both distances,
+    /// `acc_is_rhs` and every trap `OpId` — for CSR ASaP {SpMV, SpMM} ×
+    /// {U32, U64} × d ∈ {1, 45}. `key()` and output bits cannot see a
+    /// wrong trap location on a path no seed trips; this can.
+    #[test]
+    fn tier2_plans_are_pinned_field_by_field() {
+        const SPMV_U32: &str = "Some(Spmv(SpmvPlan { nrows_arg: 5, pos_arg: 0, y_arg: 4, crd_arg: 1, x_arg: 3, vals_arg: 2, dist_x: {d}, dist_crd: {2d}, acc_is_rhs: false, \
+            pre_pos_pc: OpId(16), outer_pc: OpId(35), y_pc: OpId(2), pos_lo_pc: OpId(4), pos_hi_pc: OpId(7), inner_pc: OpId(32), lc_pc: OpId(9), gp_crd_pc: OpId(24), ds_a_pc: OpId(27), ds_b_pc: OpId(28) }))";
+        const SPMV_U64: &str = "Some(Spmv(SpmvPlan { nrows_arg: 5, pos_arg: 0, y_arg: 4, crd_arg: 1, x_arg: 3, vals_arg: 2, dist_x: {d}, dist_crd: {2d}, acc_is_rhs: false, \
+            pre_pos_pc: OpId(13), outer_pc: OpId(30), y_pc: OpId(2), pos_lo_pc: OpId(4), pos_hi_pc: OpId(6), inner_pc: OpId(27), lc_pc: OpId(7), gp_crd_pc: OpId(20), ds_a_pc: OpId(22), ds_b_pc: OpId(23) }))";
+        const SPMM_U32: &str = "Some(Spmm(SpmmPlan { nrows_arg: 5, k_arg: 7, pos_arg: 0, crd_arg: 1, c_arg: 3, vals_arg: 2, out_arg: 4, dist_x: {d}, dist_crd: {2d}, \
+            pre_pos_pc: OpId(15), outer_pc: OpId(44), pos_lo_pc: OpId(3), pos_hi_pc: OpId(6), mid_pc: OpId(42), crd_pc: OpId(8), gp_crd_pc: OpId(23), vals_pc: OpId(29), inner_pc: OpId(40), c_pc: OpId(32), out_pc: OpId(36) }))";
+        const SPMM_U64: &str = "Some(Spmm(SpmmPlan { nrows_arg: 5, k_arg: 7, pos_arg: 0, crd_arg: 1, c_arg: 3, vals_arg: 2, out_arg: 4, dist_x: {d}, dist_crd: {2d}, \
+            pre_pos_pc: OpId(12), outer_pc: OpId(39), pos_lo_pc: OpId(3), pos_hi_pc: OpId(5), mid_pc: OpId(37), crd_pc: OpId(6), gp_crd_pc: OpId(19), vals_pc: OpId(24), inner_pc: OpId(35), c_pc: OpId(27), out_pc: OpId(31) }))";
+        let spmv = KernelSpec::spmv(ValueKind::F64);
+        let spmm = KernelSpec::spmm(ValueKind::F64);
+        let table = [
+            ("spmv/u32", &spmv, IndexWidth::U32, SPMV_U32),
+            ("spmv/u64", &spmv, IndexWidth::U64, SPMV_U64),
+            ("spmm/u32", &spmm, IndexWidth::U32, SPMM_U32),
+            ("spmm/u64", &spmm, IndexWidth::U64, SPMM_U64),
+        ];
+        for (name, spec, width, template) in table {
+            for d in [1usize, 45] {
+                let strategy = PrefetchStrategy::asap(d);
+                let ck = compile_with_width(spec, &Format::csr(), width, &strategy).unwrap();
+                let want = template
+                    .replace("{d}", &d.to_string())
+                    .replace("{2d}", &(2 * d).to_string());
+                assert_eq!(format!("{:?}", ck.tier2), want, "{name} d={d}");
+            }
+        }
+    }
+
+    /// `bind` never hands the VM a mistyped buffer, so nothing else
+    /// reaches the path where the `SpmvLoop` guard declines and the loop
+    /// runs through its own instructions. Swap one operand's storage
+    /// type under the bound kernel and require the tree-walker and the
+    /// VM to agree on everything observable.
+    #[test]
+    fn mistyped_operands_fall_through_the_spmv_guard_identically() {
+        use asap_ir::{BufferData, Instr, TraceModel};
+        let spec = KernelSpec::spmv(ValueKind::F64);
+        let ck = compile(&spec, &Format::csr(), &PrefetchStrategy::asap(2)).unwrap();
+        let prog = ck.program.as_ref().unwrap();
+        assert!(prog.instrs.iter().any(|i| matches!(i, Instr::SpmvLoop(_))));
+        let Some(Tier2Plan::Spmv(plan)) = &ck.tier2 else {
+            panic!("CSR ASaP SpMV must specialize");
+        };
+        let b = paper_tensor(Format::csr());
+        let x = DenseTensor::from_f64(vec![3], vec![1.0, 10.0, 100.0]);
+        let y = DenseTensor::zeros(ValueKind::F64, vec![3]);
+        let cases = [
+            ("x as i8", plan.x_arg, BufferData::I8(vec![1; 3])),
+            ("vals as i8", plan.vals_arg, BufferData::I8(vec![1; 3])),
+            ("crd as f64", plan.crd_arg, BufferData::F64(vec![0.0; 3])),
+        ];
+        for (name, arg, data) in cases {
+            let mut bound = bind(&ck.kernel, &b, &[&x], &y).unwrap();
+            let asap_ir::V::Mem(id) = bound.args[arg] else {
+                panic!("{name}: argument {arg} is not a memref");
+            };
+            bound.bufs.get_mut(id).data = data;
+            let (mut b1, mut b2) = (bound.bufs.clone(), bound.bufs);
+            let (mut t1, mut t2) = (TraceModel::new(), TraceModel::new());
+            let unlimited = Budget::unlimited();
+            let e1 = interpret_budgeted(&ck.kernel.func, &bound.args, &mut b1, &mut t1, &unlimited)
+                .expect_err(name);
+            let e2 =
+                execute_budgeted(prog, &bound.args, &mut b2, &mut t2, &unlimited).expect_err(name);
+            assert_eq!(e1.to_string(), e2.to_string(), "{name}: display");
+            assert!(e1.to_string().contains("expected"), "{name}: a type trap");
+            assert_eq!(e1.op(), e2.op(), "{name}: op location");
+            assert!(e1.op().is_some(), "{name}: located");
+            assert_eq!(t1.events, t2.events, "{name}: event prefix");
+            assert!(!t1.events.is_empty(), "{name}: trapped inside the loop");
+            assert_eq!(t1.instructions, t2.instructions, "{name}: retire count");
+        }
+    }
+
     #[test]
     fn non_matching_shapes_have_no_tier2_plan() {
         let spec = KernelSpec::spmv(ValueKind::F64);

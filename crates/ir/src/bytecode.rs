@@ -11,7 +11,10 @@
 //! loop-counter increment+compare pair, the coordinate load+widen, the
 //! distance-offset add+prefetch, the loop-bound clamp
 //! (add+compare+select), the indirect prefetch (load+cast+prefetch), and
-//! the loop back-edge (retire+copies+step).
+//! the loop back-edge (retire+copies+step). A loop made of exactly those
+//! — the ASaP CSR SpMV inner loop — also gets a whole-loop guard
+//! ([`SpmvLoop`]) in front of it, beside the loop rather than instead of
+//! it.
 //!
 //! The contract, enforced by `asap-fuzz`'s four-strategy oracle and the
 //! `bytecode_equiv` differential suite, is *exact observational
@@ -23,7 +26,7 @@
 //! two `retire_fp(1)` calls, and a fused gather still issues both loads
 //! (and the cast's `retire(1)`) in source order.
 
-use crate::interp::V;
+use crate::mem::V;
 use crate::ops::{BinOp, CmpPred, Function, OpId, OpKind, Region, Value};
 use crate::types::{Literal, Type};
 use std::collections::HashMap;
@@ -219,12 +222,14 @@ pub enum Instr {
         dst: u32,
         pc: OpId,
     },
-    /// The fully-fused ASaP sparse inner loop (see [`SpmvLoop`]): an
-    /// entire `for` over the nonzeros of one row — coordinate gather,
-    /// both software prefetches, multiply–accumulate, and back edge —
-    /// runs as one instruction with no per-iteration dispatch. Boxed to
-    /// keep [`Instr`] small; formed only when the seven-instruction
-    /// window matches exactly, with the generic path as fallback.
+    /// Guard in front of the ASaP sparse inner loop (see [`SpmvLoop`]):
+    /// when the run-time operand types are the ones the sparsifier
+    /// binds, the entire `for` over the nonzeros of one row — coordinate
+    /// gather, both software prefetches, multiply–accumulate, and back
+    /// edge — runs here on typed slices with no per-iteration dispatch
+    /// and control continues at `exit`; otherwise the guard does nothing
+    /// and the seven instructions after it run the loop. Boxed to keep
+    /// [`Instr`] small; emitted only when that window matches exactly.
     SpmvLoop(Box<SpmvLoop>),
     /// Unconditional branch (targets are instruction indices after
     /// patching).
@@ -302,14 +307,20 @@ impl Instr {
     }
 }
 
-/// Operands of the fused ASaP sparse inner loop, field-for-field the
-/// seven instructions it replaces (`ForHead`, `LoadCast`, `AddPrefetch`,
-/// `ClampSelect`, `GatherPrefetch`, `DotStep`, `LoopBack`). The executor
-/// replays the exact sub-op sequence — same model calls, same slot
-/// writes, same trap order — so observational equivalence is preserved;
-/// only the per-iteration instruction dispatch disappears. The matcher
-/// guarantees both casts widen to `index` and that neither `iv`, `hi`
-/// nor `step` is written inside the window.
+/// Operands of the ASaP sparse inner-loop guard: what the typed-slice
+/// run of the seven instructions that follow it (`ForHead`, `LoadCast`,
+/// `AddPrefetch`, `ClampSelect`, `GatherPrefetch`, `DotStep`, `LoopBack`)
+/// reads — loop bounds, the six buffer bindings, the three loop-invariant
+/// operand slots, the accumulator, and every op location a model call or
+/// trap is attributed to. Nothing of the loop is *replayed* from here:
+/// when the guard declines, the seven instructions themselves run.
+///
+/// The fuser emits the guard only for the strict SpMV dataflow shape (the
+/// induction variable feeds the crd load, both prefetch adds and the vals
+/// load; the widened crd element indexes the dense vector; the clamp
+/// output feeds the gather prefetch; the dot product accumulates through
+/// the single loop-carried copy; both casts widen to `index`) and only
+/// when no slot the guard reads once is written inside the window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpmvLoop {
     pub iv: u32,
@@ -318,96 +329,35 @@ pub struct SpmvLoop {
     /// Exit target (label id until patching).
     pub exit: u32,
     // `load crd[j]` + widen to index.
-    pub lc_dst: u32,
     pub lc_mem: u16,
-    pub lc_idx: u32,
     pub lc_pc: OpId,
-    pub lc_cast_dst: u32,
-    pub lc_cast_pc: OpId,
     // `prefetch crd[j + d]`.
-    pub ap_op: BinOp,
-    pub ap_dst: u32,
-    pub ap_lhs: u32,
     pub ap_rhs: u32,
-    pub ap_add_pc: OpId,
     pub ap_mem: u16,
     pub ap_loc: u8,
     pub ap_write: bool,
     pub ap_pc: OpId,
     // `clamped = min(j + d, bound)`.
-    pub cs_op: BinOp,
-    pub cs_add_dst: u32,
-    pub cs_add_lhs: u32,
     pub cs_add_rhs: u32,
-    pub cs_add_pc: OpId,
-    pub cs_pred: CmpPred,
-    pub cs_cmp_dst: u32,
     pub cs_cmp_rhs: u32,
-    pub cs_cmp_pc: OpId,
-    pub cs_dst: u32,
-    pub cs_if_true: u32,
-    pub cs_if_false: u32,
     // `prefetch x[crd[clamped]]`.
-    pub gp_idx: u32,
     pub gp_crd_mem: u16,
-    pub gp_crd_dst: u32,
     pub gp_crd_pc: OpId,
-    pub gp_cast_dst: u32,
-    pub gp_cast_pc: OpId,
     pub gp_mem: u16,
     pub gp_loc: u8,
     pub gp_write: bool,
     pub gp_pc: OpId,
     // `acc += vals[j] * x[crd[j]]`.
-    pub ds_a_dst: u32,
     pub ds_a_mem: u16,
-    pub ds_a_idx: u32,
     pub ds_a_pc: OpId,
-    pub ds_b_dst: u32,
     pub ds_b_mem: u16,
-    pub ds_b_idx: u32,
     pub ds_b_pc: OpId,
-    pub ds_a: u32,
-    pub ds_b: u32,
-    pub ds_mul_dst: u32,
-    pub ds_mul_pc: OpId,
     pub ds_acc: u32,
     pub ds_acc_is_rhs: bool,
     pub ds_dst: u32,
-    pub ds_pc: OpId,
-    // Loop-carried copies of the back edge.
-    pub copies: Vec<(u32, u32)>,
-    /// The `scf.for` op this superinstruction replaces, for budget-trap
-    /// locations (same as the tree-walker's fuel-trap location).
+    /// The guarded `scf.for` op, for budget-trap locations (same as the
+    /// tree-walker's fuel-trap location).
     pub pc: OpId,
-}
-
-impl SpmvLoop {
-    /// The strict SpMV dataflow shape: the induction variable feeds the
-    /// crd load, both prefetch adds, and the vals load; the widened crd
-    /// element indexes the dense vector; the clamp output feeds the
-    /// gather prefetch; the dot product accumulates through the single
-    /// loop-carried copy. Shared by the VM's typed-slice fast path and
-    /// the tier-2 native-kernel matcher — both decline to the generic
-    /// path when it does not hold.
-    pub fn strict_shape(&self) -> bool {
-        use crate::ops::{BinOp, CmpPred};
-        self.lc_idx == self.iv
-            && self.ap_lhs == self.iv
-            && self.cs_add_lhs == self.iv
-            && self.ds_a_idx == self.iv
-            && self.ds_b_idx == self.lc_cast_dst
-            && self.gp_idx == self.cs_dst
-            && self.ds_a == self.ds_a_dst
-            && self.ds_b == self.ds_b_dst
-            && self.cs_if_true == self.cs_add_dst
-            && self.cs_if_false == self.cs_cmp_rhs
-            && self.ap_op == BinOp::AddI
-            && self.cs_op == BinOp::AddI
-            && self.cs_pred == CmpPred::Ult
-            && self.copies.len() == 1
-            && self.copies[0] == (self.ds_acc, self.ds_dst)
-    }
 }
 
 /// A lowered function, ready for [`crate::execute`].
@@ -822,178 +772,153 @@ impl Lowerer {
         }
     }
 
-    /// Collapse a whole `for` body into one [`Instr::SpmvLoop`] when the
-    /// window starting at the loop head is exactly the seven-instruction
-    /// ASaP sparse inner loop. Called right before the exit label binds,
-    /// so no later label points into the window; the head and body labels
-    /// become unreferenced (the fused loop branches internally).
-    fn try_fuse_spmv_loop(&mut self, head_pos: usize) {
-        if self.instrs.len() != head_pos + 7 {
+    /// Put an [`Instr::SpmvLoop`] guard in front of a `for` whose window,
+    /// from the loop head on, is exactly the seven-instruction ASaP sparse
+    /// inner loop in the strict shape (see [`SpmvLoop`]). Called right
+    /// before the exit label binds, so the only labels at or after the
+    /// head are this loop's `head` and `body`; both move down one with
+    /// the instructions they name. The head is then entered only by
+    /// falling out of the guard — the back edge re-checks the bound
+    /// itself and jumps to `body`.
+    fn try_guard_spmv_loop(&mut self, head: u32) {
+        let head_pos = self.labels[head as usize] as usize;
+        let [Instr::ForHead { iv, hi, exit, pc }, Instr::LoadCast {
+            dst: lc_dst,
+            mem: lc_mem,
+            idx: lc_idx,
+            pc: lc_pc,
+            cast_dst: lc_cast_dst,
+            to: Type::Index,
+            ..
+        }, Instr::AddPrefetch {
+            op: BinOp::AddI,
+            add_dst: ap_dst,
+            lhs: ap_lhs,
+            rhs: ap_rhs,
+            mem: ap_mem,
+            locality: ap_loc,
+            write: ap_write,
+            pc: ap_pc,
+            ..
+        }, Instr::ClampSelect {
+            op: BinOp::AddI,
+            add_dst: cs_add_dst,
+            add_lhs: cs_add_lhs,
+            add_rhs: cs_add_rhs,
+            pred: CmpPred::Ult,
+            cmp_dst: cs_cmp_dst,
+            cmp_rhs: cs_cmp_rhs,
+            dst: cs_dst,
+            if_true: cs_if_true,
+            if_false: cs_if_false,
+            ..
+        }, Instr::GatherPrefetch {
+            idx: gp_idx,
+            crd_mem: gp_crd_mem,
+            crd_dst: gp_crd_dst,
+            crd_pc: gp_crd_pc,
+            cast_dst: gp_cast_dst,
+            to: Type::Index,
+            mem: gp_mem,
+            locality: gp_loc,
+            write: gp_write,
+            pc: gp_pc,
+            ..
+        }, Instr::DotStep {
+            a_dst: ds_a_dst,
+            a_mem: ds_a_mem,
+            a_idx: ds_a_idx,
+            a_pc: ds_a_pc,
+            b_dst: ds_b_dst,
+            b_mem: ds_b_mem,
+            b_idx: ds_b_idx,
+            b_pc: ds_b_pc,
+            a: ds_a,
+            b: ds_b,
+            mul_dst: ds_mul_dst,
+            acc: ds_acc,
+            acc_is_rhs: ds_acc_is_rhs,
+            dst: ds_dst,
+            ..
+        }, Instr::LoopBack {
+            iv: lb_iv,
+            step,
+            hi: lb_hi,
+            body,
+            exit: lb_exit,
+            copies,
+            ..
+        }] = &self.instrs[head_pos..]
+        else {
+            return;
+        };
+        let strict = (lb_iv, lb_hi, lb_exit) == (iv, hi, exit)
+            && [lc_idx, ap_lhs, cs_add_lhs, ds_a_idx]
+                .iter()
+                .all(|s| *s == iv)
+            && ds_b_idx == lc_cast_dst
+            && gp_idx == cs_dst
+            && (ds_a, ds_b) == (ds_a_dst, ds_b_dst)
+            && (cs_if_true, cs_if_false) == (cs_add_dst, cs_cmp_rhs)
+            && copies.as_slice() == [(*ds_acc, *ds_dst)];
+        // The typed run keeps `iv` and the accumulator in locals and reads
+        // the loop-invariant operands once: sound only if the body writes
+        // none of them (true for SSA results, checked all the same) and
+        // the invariant ones are not the two slots the back edge updates.
+        let body_dsts = [
+            lc_dst,
+            lc_cast_dst,
+            ap_dst,
+            cs_add_dst,
+            cs_cmp_dst,
+            cs_dst,
+            gp_crd_dst,
+            gp_cast_dst,
+            ds_a_dst,
+            ds_b_dst,
+            ds_mul_dst,
+            ds_dst,
+        ];
+        let live = [iv, ds_acc, hi, step, ap_rhs, cs_add_rhs, cs_cmp_rhs];
+        let clobbered = live.iter().any(|s| body_dsts.contains(s))
+            || live[2..].iter().any(|s| *s == iv || *s == ds_acc);
+        if !strict || clobbered {
             return;
         }
-        let fused = match &self.instrs[head_pos..] {
-            [Instr::ForHead { iv, hi, exit, pc }, Instr::LoadCast {
-                dst: lc_dst,
-                mem: lc_mem,
-                idx: lc_idx,
-                pc: lc_pc,
-                cast_dst: lc_cast_dst,
-                to: Type::Index,
-                cast_pc: lc_cast_pc,
-            }, Instr::AddPrefetch {
-                op: ap_op,
-                add_dst: ap_dst,
-                lhs: ap_lhs,
-                rhs: ap_rhs,
-                add_pc: ap_add_pc,
-                mem: ap_mem,
-                locality: ap_loc,
-                write: ap_write,
-                pc: ap_pc,
-            }, Instr::ClampSelect {
-                op: cs_op,
-                add_dst: cs_add_dst,
-                add_lhs: cs_add_lhs,
-                add_rhs: cs_add_rhs,
-                add_pc: cs_add_pc,
-                pred: cs_pred,
-                cmp_dst: cs_cmp_dst,
-                cmp_rhs: cs_cmp_rhs,
-                cmp_pc: cs_cmp_pc,
-                dst: cs_dst,
-                if_true: cs_if_true,
-                if_false: cs_if_false,
-                pc: _,
-            }, Instr::GatherPrefetch {
-                idx: gp_idx,
-                crd_mem: gp_crd_mem,
-                crd_dst: gp_crd_dst,
-                crd_pc: gp_crd_pc,
-                cast_dst: gp_cast_dst,
-                to: Type::Index,
-                cast_pc: gp_cast_pc,
-                mem: gp_mem,
-                locality: gp_loc,
-                write: gp_write,
-                pc: gp_pc,
-            }, Instr::DotStep {
-                a_dst: ds_a_dst,
-                a_mem: ds_a_mem,
-                a_idx: ds_a_idx,
-                a_pc: ds_a_pc,
-                b_dst: ds_b_dst,
-                b_mem: ds_b_mem,
-                b_idx: ds_b_idx,
-                b_pc: ds_b_pc,
-                a: ds_a,
-                b: ds_b,
-                mul_dst: ds_mul_dst,
-                mul_pc: ds_mul_pc,
-                acc: ds_acc,
-                acc_is_rhs: ds_acc_is_rhs,
-                dst: ds_dst,
-                pc: ds_pc,
-            }, Instr::LoopBack {
-                iv: lb_iv,
-                step,
-                hi: lb_hi,
-                body: _,
-                exit: lb_exit,
-                copies,
-                pc: _,
-            }] if lb_iv == iv && lb_hi == hi && lb_exit == exit => {
-                // The executor re-reads `iv`/`hi`/`step` per iteration,
-                // assuming the body leaves them alone — true for SSA
-                // results, but verify against the copy destinations too.
-                let loop_slots = [*iv, *hi, *step];
-                let written = [
-                    *lc_dst,
-                    *lc_cast_dst,
-                    *ap_dst,
-                    *cs_add_dst,
-                    *cs_cmp_dst,
-                    *cs_dst,
-                    *gp_crd_dst,
-                    *gp_cast_dst,
-                    *ds_a_dst,
-                    *ds_b_dst,
-                    *ds_mul_dst,
-                    *ds_dst,
-                ];
-                if written.iter().any(|w| loop_slots.contains(w))
-                    || copies.iter().any(|(d, _)| loop_slots.contains(d))
-                {
-                    None
-                } else {
-                    Some(Box::new(SpmvLoop {
-                        iv: *iv,
-                        hi: *hi,
-                        step: *step,
-                        exit: *exit,
-                        lc_dst: *lc_dst,
-                        lc_mem: *lc_mem,
-                        lc_idx: *lc_idx,
-                        lc_pc: *lc_pc,
-                        lc_cast_dst: *lc_cast_dst,
-                        lc_cast_pc: *lc_cast_pc,
-                        ap_op: *ap_op,
-                        ap_dst: *ap_dst,
-                        ap_lhs: *ap_lhs,
-                        ap_rhs: *ap_rhs,
-                        ap_add_pc: *ap_add_pc,
-                        ap_mem: *ap_mem,
-                        ap_loc: *ap_loc,
-                        ap_write: *ap_write,
-                        ap_pc: *ap_pc,
-                        cs_op: *cs_op,
-                        cs_add_dst: *cs_add_dst,
-                        cs_add_lhs: *cs_add_lhs,
-                        cs_add_rhs: *cs_add_rhs,
-                        cs_add_pc: *cs_add_pc,
-                        cs_pred: *cs_pred,
-                        cs_cmp_dst: *cs_cmp_dst,
-                        cs_cmp_rhs: *cs_cmp_rhs,
-                        cs_cmp_pc: *cs_cmp_pc,
-                        cs_dst: *cs_dst,
-                        cs_if_true: *cs_if_true,
-                        cs_if_false: *cs_if_false,
-                        gp_idx: *gp_idx,
-                        gp_crd_mem: *gp_crd_mem,
-                        gp_crd_dst: *gp_crd_dst,
-                        gp_crd_pc: *gp_crd_pc,
-                        gp_cast_dst: *gp_cast_dst,
-                        gp_cast_pc: *gp_cast_pc,
-                        gp_mem: *gp_mem,
-                        gp_loc: *gp_loc,
-                        gp_write: *gp_write,
-                        gp_pc: *gp_pc,
-                        ds_a_dst: *ds_a_dst,
-                        ds_a_mem: *ds_a_mem,
-                        ds_a_idx: *ds_a_idx,
-                        ds_a_pc: *ds_a_pc,
-                        ds_b_dst: *ds_b_dst,
-                        ds_b_mem: *ds_b_mem,
-                        ds_b_idx: *ds_b_idx,
-                        ds_b_pc: *ds_b_pc,
-                        ds_a: *ds_a,
-                        ds_b: *ds_b,
-                        ds_mul_dst: *ds_mul_dst,
-                        ds_mul_pc: *ds_mul_pc,
-                        ds_acc: *ds_acc,
-                        ds_acc_is_rhs: *ds_acc_is_rhs,
-                        ds_dst: *ds_dst,
-                        ds_pc: *ds_pc,
-                        copies: copies.clone(),
-                        pc: *pc,
-                    }))
-                }
-            }
-            _ => None,
+        let body = *body;
+        let guard = SpmvLoop {
+            iv: *iv,
+            hi: *hi,
+            step: *step,
+            exit: *exit,
+            lc_mem: *lc_mem,
+            lc_pc: *lc_pc,
+            ap_rhs: *ap_rhs,
+            ap_mem: *ap_mem,
+            ap_loc: *ap_loc,
+            ap_write: *ap_write,
+            ap_pc: *ap_pc,
+            cs_add_rhs: *cs_add_rhs,
+            cs_cmp_rhs: *cs_cmp_rhs,
+            gp_crd_mem: *gp_crd_mem,
+            gp_crd_pc: *gp_crd_pc,
+            gp_mem: *gp_mem,
+            gp_loc: *gp_loc,
+            gp_write: *gp_write,
+            gp_pc: *gp_pc,
+            ds_a_mem: *ds_a_mem,
+            ds_a_pc: *ds_a_pc,
+            ds_b_mem: *ds_b_mem,
+            ds_b_pc: *ds_b_pc,
+            ds_acc: *ds_acc,
+            ds_acc_is_rhs: *ds_acc_is_rhs,
+            ds_dst: *ds_dst,
+            pc: *pc,
         };
-        if let Some(b) = fused {
-            self.instrs.truncate(head_pos);
-            self.instrs.push(Instr::SpmvLoop(b));
-        }
+        self.instrs
+            .insert(head_pos, Instr::SpmvLoop(Box::new(guard)));
+        self.labels[head as usize] += 1;
+        self.labels[body as usize] += 1;
     }
 
     /// Fuse a trailing add / unsigned-compare-of-the-sum / select window
@@ -1234,8 +1159,7 @@ impl Lowerer {
                             pc: op.id,
                         },
                     )?;
-                    let head_pos = self.labels[head as usize] as usize;
-                    self.try_fuse_spmv_loop(head_pos);
+                    self.try_guard_spmv_loop(head);
                     self.bind(exit);
                     self.parallel_copy(&op.results, iter_args);
                 }

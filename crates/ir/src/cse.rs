@@ -164,7 +164,8 @@ fn cse_region(
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::interp::{interpret, BufferData, Buffers, NullModel, V};
+    use crate::interp::interpret;
+    use crate::mem::{BufferData, Buffers, NullModel, V};
     use crate::verify::verify;
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! The error carries location data where the stage has any: parse errors
 //! carry a 1-based line number, interpreter traps carry the static op id
-//! of the faulting op (see [`InterpError::At`](crate::interp::InterpError)).
+//! of the faulting op (see [`InterpError::At`](crate::mem::InterpError)).
 
 use crate::budget::{BudgetError, Resource};
-use crate::interp::InterpError;
+use crate::mem::InterpError;
 use crate::ops::OpId;
 use crate::verify::VerifyError;
 use std::fmt;

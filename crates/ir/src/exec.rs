@@ -12,10 +12,17 @@
 //! values move through register copies instead of a `Vec` allocation per
 //! iteration. Op-id attachment to trap errors happens only on the error
 //! path.
+//!
+//! The ASaP sparse inner loop additionally sits behind a guard
+//! ([`Instr::SpmvLoop`], [`run_spmv_loop`]): with the operand types
+//! `bind` produces, the whole loop runs on typed slices without
+//! per-iteration dispatch; with any other typing the guard is a no-op
+//! and the loop's own instructions run. The loop is written down once.
 
 use crate::budget::{Budget, BudgetMeter};
 use crate::bytecode::{Instr, Program};
-use crate::interp::{eval_binary, Buffers, InterpError, MemoryModel, V};
+use crate::interp::eval_binary;
+use crate::mem::{BufferData, Buffers, InterpError, MemoryModel, V};
 use crate::profile::ExecProfile;
 use crate::types::Type;
 
@@ -473,7 +480,11 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                 slots[*dst as usize] = V::F64(s);
             }
             Instr::SpmvLoop(d) => {
-                ip = run_spmv_loop(d, &mut slots, &mems, bufs, model, &mut meter)? as usize;
+                // A guard: run the whole loop typed and skip it, or do
+                // nothing and fall into the loop's own instructions.
+                if let Some(exit) = run_spmv_loop(d, &mut slots, &mems, bufs, model, &mut meter)? {
+                    ip = exit as usize;
+                }
             }
             Instr::Jump { target } => ip = *target as usize,
             Instr::IfBr {
@@ -553,8 +564,8 @@ enum IntSlice<'a> {
 }
 
 impl<'a> IntSlice<'a> {
-    fn of(data: &'a crate::interp::BufferData) -> Option<IntSlice<'a>> {
-        use crate::interp::BufferData as B;
+    fn of(data: &'a BufferData) -> Option<IntSlice<'a>> {
+        use BufferData as B;
         match data {
             B::I64(v) => Some(IntSlice::I64(v)),
             B::I32(v) => Some(IntSlice::I32(v)),
@@ -584,18 +595,18 @@ impl<'a> IntSlice<'a> {
     }
 }
 
-/// Execute one [`SpmvLoop`] superinstruction to completion; returns the
-/// ip to resume at (always the loop's exit target).
+/// The [`SpmvLoop`](crate::bytecode::SpmvLoop) guard. Returns the ip to
+/// resume at (the loop's exit target) after running the whole loop, or
+/// `None` — having made no model call, slot write or fuel charge — when
+/// the run-time operands are not the strictly typed ones; the caller then
+/// falls into the guarded loop's own instructions, which handle every
+/// other typing (and every type trap) one sub-op at a time.
 ///
-/// Two paths, same observable behavior. The *fast* path runs when every
-/// loop-invariant operand is well-typed for the strict SpMV shape — loop
-/// values then live in locals and typed slices, and the only traps still
-/// possible are out-of-bounds loads, reproduced with the same error, op
-/// location, and preceding event stream as the generic path. The
-/// *generic* path replays the seven fused sub-ops slot by slot and
-/// handles every other shape (and every other trap) exactly like the
-/// unfused instruction sequence. Routing between the two only inspects
-/// state — no model call, no trap — so the choice is unobservable.
+/// When it runs, loop values live in locals and typed slices, and the
+/// only traps still possible are fuel and out-of-bounds loads, raised
+/// with the same error, op location, and preceding event stream as the
+/// seven instructions would. The lowerer has checked the dataflow shape
+/// and that nothing read once here is written by the loop body.
 // `p + acc` vs `acc + p` by original operand order — see `execute`.
 #[allow(clippy::if_same_then_else)]
 fn run_spmv_loop<M: MemoryModel + ?Sized>(
@@ -605,33 +616,23 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
     bufs: &Buffers,
     model: &mut M,
     meter: &mut BudgetMeter,
-) -> Result<u32, InterpError> {
-    // The strict shape (see [`SpmvLoop::strict_shape`], shared with the
-    // tier-2 matcher).
-    let strict = d.strict_shape();
-    // Loop-invariant operands must already hold the types the strict
-    // shape produces, so no per-iteration type check can ever trap.
-    let invariants = (|| {
+) -> Result<Option<u32>, InterpError> {
+    // Loop bounds and loop-invariant operands must already hold the types
+    // the strict shape produces, so no per-iteration type check can trap;
+    // the crd arrays must be integer-typed, vals and the dense vector f64
+    // — what `load_elem` + `as_u64`/`as_f64` accept without trapping.
+    let typed = (|| {
+        let (V::Index(i), V::Index(h), V::Index(st), V::Index(bound), V::F64(acc)) = (
+            slots[d.iv as usize],
+            slots[d.hi as usize],
+            slots[d.step as usize],
+            slots[d.cs_cmp_rhs as usize],
+            slots[d.ds_acc as usize],
+        ) else {
+            return None;
+        };
         let dist = slots[d.ap_rhs as usize].as_u64().ok()?;
         let clamp = slots[d.cs_add_rhs as usize].as_u64().ok()?;
-        let bound = match slots[d.cs_cmp_rhs as usize] {
-            V::Index(b) => b,
-            _ => return None,
-        };
-        let acc = match slots[d.ds_acc as usize] {
-            V::F64(a) => a,
-            _ => return None,
-        };
-        let st = match slots[d.step as usize] {
-            V::Index(s) => s,
-            _ => return None,
-        };
-        Some((dist, clamp, bound, acc, st))
-    })();
-    // Buffer bindings: the crd arrays integer-typed, vals and the dense
-    // vector f64 — matching what `load_elem` + `as_u64`/`as_f64` accept
-    // without trapping.
-    let buffers = (|| {
         let (lc_id, lc_base, lc_eb) = mems[d.lc_mem as usize].resolve().ok()?;
         let (_, ap_base, ap_eb) = mems[d.ap_mem as usize].resolve().ok()?;
         let (gc_id, gc_base, gc_eb) = mems[d.gp_crd_mem as usize].resolve().ok()?;
@@ -640,215 +641,91 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
         let (b_id, b_base, b_eb) = mems[d.ds_b_mem as usize].resolve().ok()?;
         let crd = IntSlice::of(&bufs.get(lc_id).data)?;
         let gcrd = IntSlice::of(&bufs.get(gc_id).data)?;
-        let vals = match &bufs.get(a_id).data {
-            crate::interp::BufferData::F64(v) => &v[..],
-            _ => return None,
-        };
-        let dense = match &bufs.get(b_id).data {
-            crate::interp::BufferData::F64(v) => &v[..],
-            _ => return None,
+        let (BufferData::F64(vals), BufferData::F64(dense)) =
+            (&bufs.get(a_id).data, &bufs.get(b_id).data)
+        else {
+            return None;
         };
         Some((
+            (i, h, st, bound, acc, dist, clamp),
             (lc_base, lc_eb, crd),
             (ap_base, ap_eb),
             (gc_base, gc_eb, gcrd),
             (gp_base, gp_eb),
-            (a_base, a_eb, vals),
-            (b_base, b_eb, dense),
+            (a_base, a_eb, &vals[..]),
+            (b_base, b_eb, &dense[..]),
         ))
     })();
-
-    if let (true, Some((dist, clamp, bound, mut acc, st)), Some(bufs6)) =
-        (strict, invariants, buffers)
-    {
-        let (
-            (lc_base, lc_eb, crd),
-            (ap_base, ap_eb),
-            (gc_base, gc_eb, gcrd),
-            (gp_base, gp_eb),
-            (a_base, a_eb, vals),
-            (b_base, b_eb, dense),
-        ) = bufs6;
-        let mut i = slots[d.iv as usize].as_index()?;
-        let h = slots[d.hi as usize].as_index()?;
-        let oob = |i: usize, len: usize, pc| InterpError::OutOfBounds { index: i, len }.at(pc);
-        while i < h {
-            // Fuel first: one unit per entered iteration, before any
-            // model call, so the fast path traps on the same event
-            // prefix as the generic path and the tree-walker. This is
-            // the only budget cost on the typed-slice path — a
-            // decrement and a branch per iteration.
-            meter.tick().map_err(|e| InterpError::Budget(e).at(d.pc))?;
-            // ForHead retire, then the five body sub-ops, then the back
-            // edge — every model call in the same order and with the
-            // same arguments as the generic path below.
-            model.retire(1);
-            model.load(d.lc_pc, lc_base + i as u64 * lc_eb as u64, lc_eb);
-            let Some(j64) = crd.get_u64(i) else {
-                return Err(oob(i, crd.len(), d.lc_pc));
-            };
-            let j = j64 as usize;
-            model.retire(1); // crd load retires before the widening cast
-            model.retire(1); // prefetch-address add
-            let pi = (i as u64).wrapping_add(dist);
-            model.prefetch(d.ap_pc, ap_base + pi * ap_eb as u64, d.ap_loc, d.ap_write);
-            model.retire(1); // clamp add
-            let sum = (i as u64).wrapping_add(clamp);
-            model.retire(1); // clamp compare
-            let clamped = if sum < bound as u64 {
-                sum as usize
-            } else {
-                bound
-            };
-            model.retire(1); // clamp select
-            model.load(d.gp_crd_pc, gc_base + clamped as u64 * gc_eb as u64, gc_eb);
-            let Some(g64) = gcrd.get_u64(clamped) else {
-                return Err(oob(clamped, gcrd.len(), d.gp_crd_pc));
-            };
-            model.retire(1); // gathered-coordinate widening cast
-            model.prefetch(d.gp_pc, gp_base + g64 * gp_eb as u64, d.gp_loc, d.gp_write);
-            model.load(d.ds_a_pc, a_base + i as u64 * a_eb as u64, a_eb);
-            let Some(&av) = vals.get(i) else {
-                return Err(oob(i, vals.len(), d.ds_a_pc));
-            };
-            model.load(d.ds_b_pc, b_base + j as u64 * b_eb as u64, b_eb);
-            let Some(&bv) = dense.get(j) else {
-                return Err(oob(j, dense.len(), d.ds_b_pc));
-            };
-            model.retire_fp(1); // multiply
-            let p = av * bv;
-            model.retire_fp(1); // accumulate
-            acc = if d.ds_acc_is_rhs { p + acc } else { acc + p };
-            model.retire(1); // back-edge yield
-            i = i.wrapping_add(st);
-        }
-        // Materialize the slots the code after the loop can still read:
-        // the accumulator (a loop result) and the loop bookkeeping. The
-        // per-iteration intermediates are body-scoped SSA values — the
-        // verifier guarantees nothing after the loop references them.
-        slots[d.iv as usize] = V::Index(i);
-        slots[d.ds_acc as usize] = V::F64(acc);
-        slots[d.ds_dst as usize] = V::F64(acc);
-        return Ok(d.exit);
-    }
-
-    // Generic path: the seven fused sub-ops replayed with identical
-    // model calls, slot writes, and trap order; see `SpmvLoop`. The
-    // top-of-loop bound check doubles as `ForHead` on entry and as
-    // `LoopBack`'s re-check on the back edge.
-    loop {
-        let i = slots[d.iv as usize].as_index()?;
-        let h = slots[d.hi as usize].as_index()?;
-        if i >= h {
-            return Ok(d.exit);
-        }
+    let Some((
+        (mut i, h, st, bound, mut acc, dist, clamp),
+        (lc_base, lc_eb, crd),
+        (ap_base, ap_eb),
+        (gc_base, gc_eb, gcrd),
+        (gp_base, gp_eb),
+        (a_base, a_eb, vals),
+        (b_base, b_eb, dense),
+    )) = typed
+    else {
+        return Ok(None);
+    };
+    let oob = |i: usize, len: usize, pc| InterpError::OutOfBounds { index: i, len }.at(pc);
+    while i < h {
+        // Fuel first: one unit per entered iteration, before any model
+        // call, so a trap leaves the same event prefix as `ForHead` /
+        // `LoopBack` and the tree-walker. This is the only budget cost
+        // on the typed-slice path — a decrement and a branch.
         meter.tick().map_err(|e| InterpError::Budget(e).at(d.pc))?;
+        // ForHead retire, then the five body sub-ops, then the back
+        // edge — every model call in the same order and with the same
+        // arguments as the guarded instructions.
         model.retire(1);
-        // load crd[j]; widen to index.
-        let (id, base, eb) = mems[d.lc_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.lc_pc))?;
-        let j = slots[d.lc_idx as usize]
-            .as_index()
-            .map_err(|e| e.at(d.lc_pc))?;
-        model.load(d.lc_pc, base + j as u64 * eb as u64, eb);
-        let cv = load_elem(bufs, id, j).map_err(|e| e.at(d.lc_pc))?;
-        slots[d.lc_dst as usize] = cv;
-        model.retire(1);
-        let raw = cv.as_u64().map_err(|e| e.at(d.lc_cast_pc))?;
-        slots[d.lc_cast_dst as usize] = V::Index(raw as usize);
-        // prefetch crd[j + d].
-        model.retire(1);
-        let l = slots[d.ap_lhs as usize];
-        let r = slots[d.ap_rhs as usize];
-        let sum = eval_binary(d.ap_op, l, r).map_err(|e| e.at(d.ap_add_pc))?;
-        slots[d.ap_dst as usize] = sum;
-        let (_, base, eb) = mems[d.ap_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.ap_pc))?;
-        let pi = sum.as_index().map_err(|e| e.at(d.ap_pc))?;
-        model.prefetch(d.ap_pc, base + pi as u64 * eb as u64, d.ap_loc, d.ap_write);
-        // clamped = min(j + d, bound).
-        model.retire(1);
-        let l = slots[d.cs_add_lhs as usize];
-        let r = slots[d.cs_add_rhs as usize];
-        let sum = eval_binary(d.cs_op, l, r).map_err(|e| e.at(d.cs_add_pc))?;
-        slots[d.cs_add_dst as usize] = sum;
-        model.retire(1);
-        let cl = sum.as_u64().map_err(|e| e.at(d.cs_cmp_pc))?;
-        let cr = slots[d.cs_cmp_rhs as usize]
-            .as_u64()
-            .map_err(|e| e.at(d.cs_cmp_pc))?;
-        use crate::ops::CmpPred::*;
-        let b = match d.cs_pred {
-            Eq => cl == cr,
-            Ne => cl != cr,
-            Ult => cl < cr,
-            Ule => cl <= cr,
-            Ugt => cl > cr,
-            Uge => cl >= cr,
+        model.load(d.lc_pc, lc_base + i as u64 * lc_eb as u64, lc_eb);
+        let Some(j64) = crd.get_u64(i) else {
+            return Err(oob(i, crd.len(), d.lc_pc));
         };
-        slots[d.cs_cmp_dst as usize] = V::Bool(b);
-        model.retire(1);
-        let src = if b { d.cs_if_true } else { d.cs_if_false };
-        slots[d.cs_dst as usize] = slots[src as usize];
-        // prefetch x[crd[clamped]].
-        let (cid, cbase, ceb) = mems[d.gp_crd_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.gp_crd_pc))?;
-        let gj = slots[d.gp_idx as usize]
-            .as_index()
-            .map_err(|e| e.at(d.gp_crd_pc))?;
-        model.load(d.gp_crd_pc, cbase + gj as u64 * ceb as u64, ceb);
-        let gcv = load_elem(bufs, cid, gj).map_err(|e| e.at(d.gp_crd_pc))?;
-        slots[d.gp_crd_dst as usize] = gcv;
-        model.retire(1);
-        let graw = gcv.as_u64().map_err(|e| e.at(d.gp_cast_pc))?;
-        slots[d.gp_cast_dst as usize] = V::Index(graw as usize);
-        let (_, base, eb) = mems[d.gp_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.gp_pc))?;
-        model.prefetch(d.gp_pc, base + graw * eb as u64, d.gp_loc, d.gp_write);
-        // acc += vals[j] * x[crd[j]].
-        let (id, base, eb) = mems[d.ds_a_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.ds_a_pc))?;
-        let ai = slots[d.ds_a_idx as usize]
-            .as_index()
-            .map_err(|e| e.at(d.ds_a_pc))?;
-        model.load(d.ds_a_pc, base + ai as u64 * eb as u64, eb);
-        slots[d.ds_a_dst as usize] = load_elem(bufs, id, ai).map_err(|e| e.at(d.ds_a_pc))?;
-        let (id, base, eb) = mems[d.ds_b_mem as usize]
-            .resolve()
-            .map_err(|e| e.at(d.ds_b_pc))?;
-        let bi = slots[d.ds_b_idx as usize]
-            .as_index()
-            .map_err(|e| e.at(d.ds_b_pc))?;
-        model.load(d.ds_b_pc, base + bi as u64 * eb as u64, eb);
-        slots[d.ds_b_dst as usize] = load_elem(bufs, id, bi).map_err(|e| e.at(d.ds_b_pc))?;
-        model.retire_fp(1);
-        let x = slots[d.ds_a as usize]
-            .as_f64()
-            .map_err(|e| e.at(d.ds_mul_pc))?;
-        let y = slots[d.ds_b as usize]
-            .as_f64()
-            .map_err(|e| e.at(d.ds_mul_pc))?;
-        let p = x * y;
-        slots[d.ds_mul_dst as usize] = V::F64(p);
-        model.retire_fp(1);
-        let o = slots[d.ds_acc as usize]
-            .as_f64()
-            .map_err(|e| e.at(d.ds_pc))?;
-        let s = if d.ds_acc_is_rhs { p + o } else { o + p };
-        slots[d.ds_dst as usize] = V::F64(s);
-        // Back edge: yield retire, loop-carried copies, step.
-        model.retire(1);
-        for &(cd, cs) in &d.copies {
-            slots[cd as usize] = slots[cs as usize];
-        }
-        let st = slots[d.step as usize].as_index()?;
-        slots[d.iv as usize] = V::Index(i.wrapping_add(st));
+        let j = j64 as usize;
+        model.retire(1); // crd load retires before the widening cast
+        model.retire(1); // prefetch-address add
+        let pi = (i as u64).wrapping_add(dist);
+        model.prefetch(d.ap_pc, ap_base + pi * ap_eb as u64, d.ap_loc, d.ap_write);
+        model.retire(1); // clamp add
+        let sum = (i as u64).wrapping_add(clamp);
+        model.retire(1); // clamp compare
+        let clamped = if sum < bound as u64 {
+            sum as usize
+        } else {
+            bound
+        };
+        model.retire(1); // clamp select
+        model.load(d.gp_crd_pc, gc_base + clamped as u64 * gc_eb as u64, gc_eb);
+        let Some(g64) = gcrd.get_u64(clamped) else {
+            return Err(oob(clamped, gcrd.len(), d.gp_crd_pc));
+        };
+        model.retire(1); // gathered-coordinate widening cast
+        model.prefetch(d.gp_pc, gp_base + g64 * gp_eb as u64, d.gp_loc, d.gp_write);
+        model.load(d.ds_a_pc, a_base + i as u64 * a_eb as u64, a_eb);
+        let Some(&av) = vals.get(i) else {
+            return Err(oob(i, vals.len(), d.ds_a_pc));
+        };
+        model.load(d.ds_b_pc, b_base + j as u64 * b_eb as u64, b_eb);
+        let Some(&bv) = dense.get(j) else {
+            return Err(oob(j, dense.len(), d.ds_b_pc));
+        };
+        model.retire_fp(1); // multiply
+        let p = av * bv;
+        model.retire_fp(1); // accumulate
+        acc = if d.ds_acc_is_rhs { p + acc } else { acc + p };
+        model.retire(1); // back-edge yield
+        i = i.wrapping_add(st);
     }
+    // Materialize the slots the code after the loop can still read: the
+    // accumulator (a loop result) and the loop bookkeeping. The
+    // per-iteration intermediates are body-scoped SSA values — the
+    // verifier guarantees nothing after the loop references them.
+    slots[d.iv as usize] = V::Index(i);
+    slots[d.ds_acc as usize] = V::F64(acc);
+    slots[d.ds_dst as usize] = V::F64(acc);
+    Ok(Some(d.exit))
 }
 
 #[inline]
@@ -883,7 +760,8 @@ mod tests {
     use crate::budget::Resource;
     use crate::builder::FuncBuilder;
     use crate::bytecode::lower;
-    use crate::interp::{interpret_budgeted, BufferData, CountingModel, NullModel};
+    use crate::interp::interpret_budgeted;
+    use crate::mem::{CountingModel, NullModel};
     use crate::trace::TraceModel;
     use crate::verify::verify;
     use crate::Function;
@@ -1210,6 +1088,97 @@ mod tests {
         )
         .unwrap();
         p.total_dispatch()
+    }
+
+    /// One row of the ASaP CSR SpMV inner loop, written by hand. With
+    /// `offset_is_loaded`, the crd-stream prefetch offset is the
+    /// coordinate loaded this iteration rather than a hoisted constant:
+    /// the same seven-instruction window, but one the guard's typed run
+    /// (which reads the offset once) would get wrong.
+    fn asap_row_fn(offset_is_loaded: bool) -> Function {
+        use crate::ops::CmpPred;
+        let mut b = FuncBuilder::new("row");
+        let crd = b.arg(Type::memref(Type::I32));
+        let vals = b.arg(Type::memref(Type::F64));
+        let x = b.arg(Type::memref(Type::F64));
+        let out = b.arg(Type::memref(Type::F64));
+        let (lo, hi, bound) = (b.arg(Type::Index), b.arg(Type::Index), b.arg(Type::Index));
+        let (c0, c1, c2) = (b.const_index(0), b.const_index(1), b.const_index(2));
+        let zero = b.const_f64(0.0);
+        let acc = b.for_loop(lo, hi, c1, &[zero], |b, j, args| {
+            let c = b.load(crd, j);
+            let ci = b.to_index(c);
+            let pj = b.addi(j, if offset_is_loaded { ci } else { c2 });
+            b.prefetch_read(crd, pj, 2);
+            let s = b.addi(j, c1);
+            let lt = b.cmpi(CmpPred::Ult, s, bound);
+            let clamped = b.select(lt, s, bound);
+            let g = b.load(crd, clamped);
+            let gi = b.to_index(g);
+            b.prefetch_read(x, gi, 2);
+            let av = b.load(vals, j);
+            let xv = b.load(x, ci);
+            let p = b.mulf(av, xv);
+            vec![b.addf(args[0], p)]
+        });
+        b.store(acc[0], out, c0);
+        b.finish()
+    }
+
+    fn guards(f: &Function) -> usize {
+        let prog = lower(f).unwrap();
+        let is_guard = |i: &&Instr| matches!(i, Instr::SpmvLoop(_));
+        prog.instrs.iter().filter(is_guard).count()
+    }
+
+    /// Arguments for [`asap_row_fn`] over a four-nonzero row.
+    fn row(crd: BufferData, vals: BufferData, x: BufferData) -> (Vec<V>, Buffers) {
+        let mut bufs = Buffers::new();
+        let ids = [crd, vals, x, BufferData::F64(vec![0.0])].map(|d| V::Mem(bufs.add(d)));
+        let scalars = [V::Index(0), V::Index(4), V::Index(3)];
+        (ids.into_iter().chain(scalars).collect(), bufs)
+    }
+
+    #[test]
+    fn spmv_guard_runs_typed_or_falls_through_identically() {
+        let f = asap_row_fn(false);
+        assert_eq!(guards(&f), 1, "the strict window gets a guard");
+        let crd = || BufferData::I32(vec![2, 0, 1, 2]);
+        let f64s = |n: usize| BufferData::F64((0..n).map(|i| i as f64 + 0.5).collect());
+        // Strictly typed operands: the guard runs the loop (and traps on
+        // fuel and on an out-of-range coordinate like the instructions).
+        let (args, bufs) = row(crd(), f64s(4), f64s(3));
+        assert_equivalent(&f, &args, &bufs);
+        assert_equivalent_budgeted(&f, &args, &bufs, &Budget::unlimited().with_fuel(2))
+            .unwrap_err();
+        let (args, bufs) = row(BufferData::I32(vec![2, 7, 1, 2]), f64s(4), f64s(3));
+        assert_equivalent_budgeted(&f, &args, &bufs, &Budget::unlimited()).unwrap_err();
+        // Mistyped operands: the guard declines and the loop's own
+        // instructions raise the walker's type trap at the walker's op.
+        for (crd, vals, x) in [
+            (crd(), f64s(4), BufferData::I8(vec![1; 3])),
+            (crd(), BufferData::I8(vec![1; 4]), f64s(3)),
+            (BufferData::F64(vec![0.0; 4]), f64s(4), f64s(3)),
+        ] {
+            let (args, bufs) = row(crd, vals, x);
+            let err = assert_equivalent_budgeted(&f, &args, &bufs, &Budget::unlimited());
+            assert!(matches!(
+                err.unwrap_err().root(),
+                InterpError::TypeMismatch(_)
+            ));
+        }
+    }
+
+    #[test]
+    fn loop_variant_prefetch_offset_gets_no_guard() {
+        let f = asap_row_fn(true);
+        assert_eq!(guards(&f), 0, "a body-written operand is not read once");
+        let (args, bufs) = row(
+            BufferData::I32(vec![2, 0, 1, 2]),
+            BufferData::F64(vec![1.0, 2.0, 3.0, 4.0]),
+            BufferData::F64(vec![10.0, 20.0, 30.0]),
+        );
+        assert_equivalent(&f, &args, &bufs);
     }
 
     #[test]

@@ -202,7 +202,8 @@ fn fold_region(
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::interp::{interpret, BufferData, Buffers, NullModel, V};
+    use crate::interp::interpret;
+    use crate::mem::{BufferData, Buffers, NullModel, V};
     use crate::verify::verify;
     use crate::{cse, dce};
 

@@ -22,6 +22,7 @@ pub mod diag;
 pub mod exec;
 pub mod fold;
 pub mod interp;
+mod mem;
 pub mod ops;
 pub mod printer;
 pub mod profile;
@@ -38,9 +39,9 @@ pub use cse::cse;
 pub use diag::AsapError;
 pub use exec::{execute, execute_budgeted, execute_budgeted_profiled};
 pub use fold::fold;
-pub use interp::{
-    interpret, interpret_budgeted, AccessKind, Buffer, BufferData, Buffers, CountingModel,
-    InterpError, MemoryModel, NullModel, V,
+pub use interp::{interpret, interpret_budgeted};
+pub use mem::{
+    AccessKind, Buffer, BufferData, Buffers, CountingModel, InterpError, MemoryModel, NullModel, V,
 };
 pub use ops::{BinOp, CmpPred, Function, Op, OpId, OpKind, Region, Value};
 pub use printer::print_function;

@@ -4,10 +4,14 @@
 //! register-bytecode VM. At compile time, [`Tier2Plan::from_program`]
 //! inspects a lowered [`Program`] for the exact instruction skeleton the
 //! sparsifier + LICM/fold/CSE/DCE + lowerer pipeline emits for ASaP CSR
-//! SpMV (the [`crate::bytecode::SpmvLoop`] superinstruction) and for the three-deep ASaP
-//! CSR SpMM loop nest. On a match it extracts a *plan*: buffer/argument
-//! positions, the ASaP-chosen prefetch distances (resolved from the
-//! constant pool), and every op location a trap could be attributed to.
+//! SpMV and for the three-deep ASaP CSR SpMM loop nest — one matcher
+//! each, at either index width, assembled from shared pieces (prelude,
+//! `for` open/close, `pos` pair, coordinate block). The SpMV matcher
+//! reads the inner loop's own seven instructions and skips the
+//! [`crate::bytecode::SpmvLoop`] guard in front of them. On a match it
+//! extracts a *plan*: buffer/argument positions, the ASaP-chosen prefetch
+//! distances (resolved from the constant pool), and every op location a
+//! trap could be attributed to.
 //! At run time the plan dispatches through a generic-template table —
 //! one monomorphized Rust loop per (pos index type × crd index type)
 //! pair — so the hot loop is direct typed-slice arithmetic with explicit
@@ -43,8 +47,9 @@
 
 use crate::budget::Budget;
 use crate::bytecode::{Instr, Program};
-use crate::interp::{BufferData, Buffers, InterpError, V};
+use crate::mem::{BufferData, Buffers, InterpError, V};
 use crate::ops::{BinOp, CmpPred, OpId};
+use crate::types::Type;
 use std::collections::HashMap;
 
 /// A runtime specialization extracted from a lowered [`Program`].
@@ -66,10 +71,9 @@ impl Tier2Plan {
     /// pipeline emits, so a match guarantees the native kernel computes
     /// the same function (traps included) as the bytecode.
     pub fn from_program(prog: &Program) -> Option<Tier2Plan> {
-        if let Some(p) = match_spmv(prog).or_else(|| match_spmv_unfused(prog)) {
-            return Some(Tier2Plan::Spmv(p));
-        }
-        match_spmm(prog).map(Tier2Plan::Spmm)
+        match_spmv(prog)
+            .map(Tier2Plan::Spmv)
+            .or_else(|| match_spmm(prog).map(Tier2Plan::Spmm))
     }
 
     /// Kernel label for stats and display.
@@ -167,42 +171,74 @@ pub struct SpmmPlan {
 struct Prelude {
     /// Constant pool: slot → index literal.
     consts: HashMap<u32, usize>,
-    /// `(mem, idx_slot, value_slot, load_pc)` of the hoisted pos load.
-    /// The value slot is the cast result for u32-width kernels and the
-    /// load destination itself for index-width kernels.
-    pre_load: Option<(u16, u32, u32, OpId)>,
-    /// `(dst, lhs)` of the `subi` bound computation.
-    bound: Option<(u32, u32)>,
-    /// Instruction index of the outer `ForPrologue`.
-    p: usize,
+    /// The hoisted pos load: binding, index slot (`nrows`) and location.
+    pos_mem: u16,
+    pos_idx: u32,
+    pos_pc: OpId,
+    /// Slot holding `bound = pos[nrows] - 1`.
+    bound: u32,
 }
 
-fn scan_prelude(prog: &Program) -> Option<Prelude> {
-    let mut pre = Prelude {
-        consts: HashMap::new(),
-        pre_load: None,
-        bound: None,
-        p: 0,
-    };
-    for (i, ins) in prog.instrs.iter().enumerate() {
+impl Prelude {
+    /// Whether `slot` holds the index constant `k`.
+    fn is(&self, slot: u32, k: usize) -> bool {
+        self.consts.get(&slot) == Some(&k)
+    }
+}
+
+/// A read position in the instruction stream. The matchers consume the
+/// skeleton front to back; branch targets are checked against positions
+/// recorded on the way.
+struct Cursor<'a> {
+    ins: &'a [Instr],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn next(&mut self) -> Option<&'a Instr> {
+        let i = self.ins.get(self.at)?;
+        self.at += 1;
+        Some(i)
+    }
+
+    /// Consume the next instruction if `f` accepts it.
+    fn eat<T>(&mut self, f: impl FnOnce(&'a Instr) -> Option<T>) -> Option<T> {
+        let t = f(self.ins.get(self.at)?)?;
+        self.at += 1;
+        Some(t)
+    }
+
+    /// `Bin` of the given op, as `(dst, lhs, rhs)`.
+    fn bin(&mut self, want: BinOp) -> Option<(u32, u32, u32)> {
+        match self.next()? {
+            Instr::Bin {
+                op, dst, lhs, rhs, ..
+            } if *op == want => Some((*dst, *lhs, *rhs)),
+            _ => None,
+        }
+    }
+
+    /// A plain `Load`, as `(mem, idx_slot, dst, load_pc)`.
+    fn load(&mut self) -> Option<(u16, u32, u32, OpId)> {
+        match self.next()? {
+            Instr::Load { dst, mem, idx, pc } => Some((*mem, *idx, *dst, *pc)),
+            _ => None,
+        }
+    }
+}
+
+/// Scan the prelude and leave the cursor on the outer `ForPrologue`.
+fn scan_prelude(prog: &Program) -> Option<(Prelude, Cursor<'_>)> {
+    let mut consts = HashMap::new();
+    let mut pre_load = None;
+    let mut bound = None;
+    for (at, ins) in prog.instrs.iter().enumerate() {
         match ins {
             Instr::Const {
                 dst,
                 val: V::Index(k),
             } => {
-                pre.consts.insert(*dst, *k);
-            }
-            Instr::LoadCast {
-                mem,
-                idx,
-                pc,
-                cast_dst,
-                ..
-            } if pre.pre_load.is_none() => {
-                pre.pre_load = Some((*mem, *idx, *cast_dst, *pc));
-            }
-            Instr::Load { dst, mem, idx, pc } if pre.pre_load.is_none() => {
-                pre.pre_load = Some((*mem, *idx, *dst, *pc));
+                consts.insert(*dst, *k);
             }
             Instr::Bin {
                 op: BinOp::SubI,
@@ -210,13 +246,22 @@ fn scan_prelude(prog: &Program) -> Option<Prelude> {
                 lhs,
                 rhs,
                 ..
-            } if pre.bound.is_none() && pre.consts.get(rhs) == Some(&1) => {
-                pre.bound = Some((*dst, *lhs));
-            }
+            } if bound.is_none() && consts.get(rhs) == Some(&1) => bound = Some((*dst, *lhs)),
             Instr::ForPrologue { .. } => {
-                pre.p = i;
-                return Some(pre);
+                // `bound` is computed from the hoisted `pos[nrows]`.
+                let (pos_mem, pos_idx, pos_val, pos_pc) = pre_load?;
+                let (bound, bound_lhs) = bound?;
+                let pre = Prelude {
+                    consts,
+                    pos_mem,
+                    pos_idx,
+                    pos_pc,
+                    bound,
+                };
+                let ins = &prog.instrs;
+                return (bound_lhs == pos_val).then_some((pre, Cursor { ins, at }));
             }
+            other if pre_load.is_none() => pre_load = Some(load_like(other)?),
             _ => return None,
         }
     }
@@ -235,9 +280,9 @@ fn mem_arg(prog: &Program, mem: u16) -> Option<usize> {
 
 /// A pos/crd element load with or without the widening cast, as
 /// `(mem, idx_slot, value_slot, load_pc)`. U32-width kernels lower the
-/// index loads to `LoadCast` (the cast result carries the value);
+/// index loads to `LoadCast` (the cast to `index` carries the value);
 /// index-width kernels load it directly and the destination is the
-/// value slot.
+/// value slot. This is the whole difference between the two widths.
 fn load_like(ins: &Instr) -> Option<(u16, u32, u32, OpId)> {
     match ins {
         Instr::Load { dst, mem, idx, pc } => Some((*mem, *idx, *dst, *pc)),
@@ -246,346 +291,133 @@ fn load_like(ins: &Instr) -> Option<(u16, u32, u32, OpId)> {
             idx,
             pc,
             cast_dst,
+            to: Type::Index,
             ..
         } => Some((*mem, *idx, *cast_dst, *pc)),
         _ => None,
     }
 }
 
-fn match_spmv(prog: &Program) -> Option<SpmvPlan> {
-    let pre = scan_prelude(prog)?;
-    let ins = &prog.instrs;
-    let p = pre.p;
-    if ins.len() != p + 13 {
-        return None;
-    }
-    let (pre_mem, pre_idx, pre_cast, pre_pos_pc) = pre.pre_load?;
-    let (bound_slot, bound_lhs) = pre.bound?;
-    if bound_lhs != pre_cast {
-        return None;
-    }
-    let one = |s: &u32| pre.consts.get(s) == Some(&1);
-    let zero = |s: &u32| pre.consts.get(s) == Some(&0);
+/// An opened unit-step `for`: `ForPrologue`, the loop-carried init copy
+/// if there is one, `ForHead`. An `SpmvLoop` guard before the head is
+/// skipped: it either runs exactly the loop it guards or does nothing
+/// (the lowerer's contract), so the loop's own instructions, matched
+/// next, are the whole semantics.
+struct ForLoop {
+    lo: u32,
+    hi: u32,
+    step: u32,
+    iv: u32,
+    /// `(dst, src)` of the loop-carried init copy.
+    init: Option<(u32, u32)>,
+    /// The `scf.for` op: where its fuel traps are located.
+    pc: OpId,
+    exit: u32,
+    /// Position of the first body instruction (the back edge's target).
+    body: usize,
+}
 
+fn open_for(c: &mut Cursor, pre: &Prelude) -> Option<ForLoop> {
     let Instr::ForPrologue {
-        lo,
-        hi,
-        step,
-        iv,
-        pc: _,
-    } = &ins[p]
+        lo, hi, step, iv, ..
+    } = c.next()?
     else {
         return None;
     };
-    if !zero(lo) || !one(step) {
-        return None;
-    }
-    let nrows_arg = arg_of(prog, *hi)?;
-    // The hoisted load is pos[nrows].
-    if pre_idx != *hi {
-        return None;
-    }
+    let init = c.eat(|i| match i {
+        Instr::Copy { dst, src } => Some((*dst, *src)),
+        _ => None,
+    });
+    c.eat(|i| matches!(i, Instr::SpmvLoop(_)).then_some(()));
     let Instr::ForHead {
         iv: h_iv,
         hi: h_hi,
         exit,
-        pc: outer_pc,
-    } = &ins[p + 1]
+        pc,
+    } = c.next()?
     else {
         return None;
     };
-    if h_iv != iv || h_hi != hi || *exit as usize != p + 12 {
-        return None;
-    }
-    let Instr::Load {
-        dst: acc0,
-        mem: y_mem,
-        idx: y_idx,
-        pc: y_pc,
-    } = &ins[p + 2]
-    else {
-        return None;
-    };
-    if y_idx != iv {
-        return None;
-    }
-    let Instr::LoadCast {
-        mem: lo_mem,
-        idx: lo_idx,
-        pc: pos_lo_pc,
-        cast_dst: lo_slot,
-        ..
-    } = &ins[p + 3]
-    else {
-        return None;
-    };
-    if lo_mem != &pre_mem || lo_idx != iv {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddI,
-        dst: ip1,
-        lhs: a_lhs,
-        rhs: a_rhs,
-        ..
-    } = &ins[p + 4]
-    else {
-        return None;
-    };
-    if a_lhs != iv || !one(a_rhs) {
-        return None;
-    }
-    let Instr::LoadCast {
-        mem: hi_mem,
-        idx: hi_idx,
-        pc: pos_hi_pc,
-        cast_dst: hi_slot,
-        ..
-    } = &ins[p + 5]
-    else {
-        return None;
-    };
-    if hi_mem != &pre_mem || hi_idx != ip1 {
-        return None;
-    }
-    let Instr::ForPrologue {
-        lo: i_lo,
-        hi: i_hi,
-        step: i_step,
-        iv: jv,
-        pc: _,
-    } = &ins[p + 6]
-    else {
-        return None;
-    };
-    if i_lo != lo_slot || i_hi != hi_slot || !one(i_step) {
-        return None;
-    }
-    let Instr::Copy {
-        dst: acc_in,
-        src: acc_src,
-    } = &ins[p + 7]
-    else {
-        return None;
-    };
-    if acc_src != acc0 {
-        return None;
-    }
-    let Instr::SpmvLoop(d) = &ins[p + 8] else {
-        return None;
-    };
-    if !d.strict_shape() {
-        return None;
-    }
-    if d.iv != *jv
-        || d.hi != *hi_slot
-        || !one(&d.step)
-        || d.exit as usize != p + 9
-        || d.ds_acc != *acc_in
-        || d.cs_cmp_rhs != bound_slot
-    {
-        return None;
-    }
-    // One coordinate stream feeds the crd load, its prefetch, and the
-    // clamp gather; the gather prefetch targets the dense vector.
-    if d.lc_mem != d.ap_mem || d.lc_mem != d.gp_crd_mem || d.ds_b_mem != d.gp_mem {
-        return None;
-    }
-    let dist_crd = *pre.consts.get(&d.ap_rhs)?;
-    let dist_x = *pre.consts.get(&d.cs_add_rhs)?;
-    let Instr::Copy {
-        dst: res,
-        src: res_src,
-    } = &ins[p + 9]
-    else {
-        return None;
-    };
-    if res_src != &d.ds_acc {
-        return None;
-    }
-    let Instr::Store {
-        mem: st_mem,
-        idx: st_idx,
-        src: st_src,
-        pc: _,
-    } = &ins[p + 10]
-    else {
-        return None;
-    };
-    if st_mem != y_mem || st_idx != iv || st_src != res {
-        return None;
-    }
-    let Instr::LoopBack {
-        iv: b_iv,
-        step: b_step,
-        hi: b_hi,
-        body,
-        exit: b_exit,
-        copies,
-        pc: b_pc,
-    } = &ins[p + 11]
-    else {
-        return None;
-    };
-    if b_iv != iv
-        || b_step != step
-        || b_hi != hi
-        || *body as usize != p + 2
-        || *b_exit as usize != p + 12
-        || !copies.is_empty()
-        || b_pc != outer_pc
-    {
-        return None;
-    }
-    let Instr::Return { vals } = &ins[p + 12] else {
-        return None;
-    };
-    if !vals.is_empty() {
-        return None;
-    }
-    Some(SpmvPlan {
-        nrows_arg,
-        pos_arg: mem_arg(prog, pre_mem)?,
-        y_arg: mem_arg(prog, *y_mem)?,
-        crd_arg: mem_arg(prog, d.lc_mem)?,
-        x_arg: mem_arg(prog, d.ds_b_mem)?,
-        vals_arg: mem_arg(prog, d.ds_a_mem)?,
-        dist_x,
-        dist_crd,
-        acc_is_rhs: d.ds_acc_is_rhs,
-        pre_pos_pc,
-        outer_pc: *outer_pc,
-        y_pc: *y_pc,
-        pos_lo_pc: *pos_lo_pc,
-        pos_hi_pc: *pos_hi_pc,
-        inner_pc: d.pc,
-        lc_pc: d.lc_pc,
-        gp_crd_pc: d.gp_crd_pc,
-        ds_a_pc: d.ds_a_pc,
-        ds_b_pc: d.ds_b_pc,
+    (pre.is(*step, 1) && h_iv == iv && h_hi == hi).then_some(ForLoop {
+        lo: *lo,
+        hi: *hi,
+        step: *step,
+        iv: *iv,
+        init,
+        pc: *pc,
+        exit: *exit,
+        body: c.at,
     })
 }
 
-/// The index-width SpMV skeleton. Without the u32→index casts the
-/// superinstruction fuser leaves the inner loop as the explicit
-/// `ForHead` / `Load` / `AddPrefetch` / `ClampSelect` / `Load` /
-/// `Prefetch` / `DotStep` / `LoopBack` sequence, so the recognizer
-/// walks that shape instead of `SpmvLoop`. The VM charges one fuel
-/// unit per entered iteration at the loop-head pc in both forms, so
-/// the extracted plan traps identically either way.
-fn match_spmv_unfused(prog: &Program) -> Option<SpmvPlan> {
-    let pre = scan_prelude(prog)?;
-    let ins = &prog.instrs;
-    let p = pre.p;
-    if ins.len() != p + 20 {
-        return None;
-    }
-    let (pre_mem, pre_idx, pre_val, pre_pos_pc) = pre.pre_load?;
-    let (bound_slot, bound_lhs) = pre.bound?;
-    if bound_lhs != pre_val {
-        return None;
-    }
-    let one = |s: &u32| pre.consts.get(s) == Some(&1);
-    let zero = |s: &u32| pre.consts.get(s) == Some(&0);
-
-    let Instr::ForPrologue {
-        lo,
-        hi,
-        step,
+/// The `LoopBack` closing `l`: same induction slot, step and bound,
+/// jumping back to the loop's first body instruction or out to the
+/// instruction after itself (where the head exits to as well), charging
+/// fuel at the same op, and carrying exactly `copies`.
+fn close_for(c: &mut Cursor, l: &ForLoop, copies: &[(u32, u32)]) -> Option<()> {
+    let Instr::LoopBack {
         iv,
-        pc: _,
-    } = &ins[p]
-    else {
-        return None;
-    };
-    if !zero(lo) || !one(step) || pre_idx != *hi {
-        return None;
-    }
-    let nrows_arg = arg_of(prog, *hi)?;
-    let Instr::ForHead {
-        iv: h_iv,
-        hi: h_hi,
+        step,
+        hi,
+        body,
         exit,
-        pc: outer_pc,
-    } = &ins[p + 1]
+        copies: carried,
+        pc,
+    } = c.next()?
     else {
         return None;
     };
-    if h_iv != iv || h_hi != hi || *exit as usize != p + 19 {
-        return None;
-    }
-    let Instr::Load {
-        dst: acc0,
-        mem: y_mem,
-        idx: y_idx,
-        pc: y_pc,
-    } = &ins[p + 2]
-    else {
-        return None;
-    };
-    if y_idx != iv {
-        return None;
-    }
-    let (lo_mem, lo_idx, lo_slot, pos_lo_pc) = load_like(&ins[p + 3])?;
-    if lo_mem != pre_mem || lo_idx != *iv {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddI,
-        dst: ip1,
-        lhs: a_lhs,
-        rhs: a_rhs,
-        ..
-    } = &ins[p + 4]
-    else {
-        return None;
-    };
-    if a_lhs != iv || !one(a_rhs) {
-        return None;
-    }
-    let (hi_mem, hi_idx, hi_slot, pos_hi_pc) = load_like(&ins[p + 5])?;
-    if hi_mem != pre_mem || hi_idx != *ip1 {
-        return None;
-    }
-    let Instr::ForPrologue {
-        lo: i_lo,
-        hi: i_hi,
-        step: i_step,
-        iv: jv,
-        pc: _,
-    } = &ins[p + 6]
-    else {
-        return None;
-    };
-    if *i_lo != lo_slot || *i_hi != hi_slot || !one(i_step) {
-        return None;
-    }
-    let Instr::Copy {
-        dst: acc_in,
-        src: acc_src,
-    } = &ins[p + 7]
-    else {
-        return None;
-    };
-    if acc_src != acc0 {
-        return None;
-    }
-    let Instr::ForHead {
-        iv: ih_iv,
-        hi: ih_hi,
-        exit: i_exit,
-        pc: inner_pc,
-    } = &ins[p + 8]
-    else {
-        return None;
-    };
-    if ih_iv != jv || *ih_hi != hi_slot || *i_exit as usize != p + 16 {
-        return None;
-    }
-    let (crd_mem, c_idx, col, lc_pc) = load_like(&ins[p + 9])?;
-    if c_idx != *jv {
-        return None;
-    }
+    ((*iv, *step, *hi, *pc) == (l.iv, l.step, l.hi, l.pc)
+        && *body as usize == l.body
+        && *exit == l.exit
+        && *exit as usize == c.at
+        && carried.as_slice() == copies)
+        .then_some(())
+}
+
+/// The row-extent pair `pos[i]`, `pos[i + 1]`.
+struct PosPair {
+    lo: u32,
+    hi: u32,
+    lo_pc: OpId,
+    hi_pc: OpId,
+}
+
+fn pos_pair(c: &mut Cursor, pre: &Prelude, iv: u32) -> Option<PosPair> {
+    let (lo_mem, lo_idx, lo, lo_pc) = load_like(c.next()?)?;
+    let (ip1, a_lhs, a_rhs) = c.bin(BinOp::AddI)?;
+    let (hi_mem, hi_idx, hi, hi_pc) = load_like(c.next()?)?;
+    ((lo_mem, lo_idx) == (pre.pos_mem, iv)
+        && a_lhs == iv
+        && pre.is(a_rhs, 1)
+        && (hi_mem, hi_idx) == (pre.pos_mem, ip1))
+        .then_some(PosPair {
+            lo,
+            hi,
+            lo_pc,
+            hi_pc,
+        })
+}
+
+/// The ASaP coordinate block at the top of the nonzero loop over `jv`:
+/// `col = crd[j]`, `prefetch crd[j + dist_crd]`, `clamped = min(j +
+/// dist_x, bound)`, `g = crd[clamped]`.
+struct CrdBlock {
+    mem: u16,
+    col: u32,
+    crd_pc: OpId,
+    dist_crd: usize,
+    dist_x: usize,
+    /// The gathered coordinate `g` and its load's location.
+    g: u32,
+    g_pc: OpId,
+    /// The dense operand `g` is prefetched from, when the gathered load
+    /// came fused with that prefetch (`GatherPrefetch`).
+    prefetched: Option<u16>,
+}
+
+fn crd_block(c: &mut Cursor, pre: &Prelude, jv: u32) -> Option<CrdBlock> {
+    let (mem, c_idx, col, crd_pc) = load_like(c.next()?)?;
     let Instr::AddPrefetch {
         op: BinOp::AddI,
         lhs: ap_lhs,
@@ -593,14 +425,10 @@ fn match_spmv_unfused(prog: &Program) -> Option<SpmvPlan> {
         mem: ap_mem,
         write: false,
         ..
-    } = &ins[p + 10]
+    } = c.next()?
     else {
         return None;
     };
-    if ap_lhs != jv || *ap_mem != crd_mem {
-        return None;
-    }
-    let dist_crd = *pre.consts.get(ap_rhs)?;
     let Instr::ClampSelect {
         op: BinOp::AddI,
         add_dst,
@@ -612,30 +440,82 @@ fn match_spmv_unfused(prog: &Program) -> Option<SpmvPlan> {
         if_true,
         if_false,
         ..
-    } = &ins[p + 11]
+    } = c.next()?
     else {
         return None;
     };
-    if add_lhs != jv || cmp_rhs != &bound_slot || if_true != add_dst || if_false != cmp_rhs {
-        return None;
-    }
-    let dist_x = *pre.consts.get(add_rhs)?;
-    let (g_mem, g_idx, g_col, gp_crd_pc) = load_like(&ins[p + 12])?;
-    if g_mem != crd_mem || g_idx != *clamped {
-        return None;
-    }
-    let Instr::Prefetch {
-        mem: pf_mem,
-        idx: pf_idx,
-        write: false,
-        ..
-    } = &ins[p + 13]
-    else {
-        return None;
+    let (g_mem, g_idx, g, g_pc, prefetched) = match c.next()? {
+        Instr::GatherPrefetch {
+            idx,
+            crd_mem,
+            crd_pc,
+            cast_dst,
+            to: Type::Index,
+            mem,
+            write: false,
+            ..
+        } => (*crd_mem, *idx, *cast_dst, *crd_pc, Some(*mem)),
+        other => {
+            let (g_mem, g_idx, g, g_pc) = load_like(other)?;
+            (g_mem, g_idx, g, g_pc, None)
+        }
     };
-    if *pf_idx != g_col {
+    (c_idx == jv
+        && (*ap_lhs, *ap_mem) == (jv, mem)
+        && (*add_lhs, *cmp_rhs) == (jv, pre.bound)
+        && (if_true, if_false) == (add_dst, cmp_rhs)
+        && (g_mem, g_idx) == (mem, *clamped))
+        .then_some(CrdBlock {
+            mem,
+            col,
+            crd_pc,
+            dist_crd: *pre.consts.get(ap_rhs)?,
+            dist_x: *pre.consts.get(add_rhs)?,
+            g,
+            g_pc,
+            prefetched,
+        })
+}
+
+/// The empty `Return` that ends the program.
+fn end_return(c: &mut Cursor) -> Option<()> {
+    match c.next()? {
+        Instr::Return { vals } if vals.is_empty() && c.at == c.ins.len() => Some(()),
+        _ => None,
+    }
+}
+
+/// The ASaP CSR SpMV skeleton, at either index width: the two differ
+/// only where `LoadCast` / `GatherPrefetch` stand for `Load` /
+/// `Load`+`Prefetch` (see [`load_like`]). The VM charges one fuel unit
+/// per entered iteration at the loop-head pc whether or not the guard
+/// ran the loop, so the extracted plan traps identically either way.
+fn match_spmv(prog: &Program) -> Option<SpmvPlan> {
+    let (pre, mut c) = scan_prelude(prog)?;
+    let outer = open_for(&mut c, &pre)?;
+    if !pre.is(outer.lo, 0) || pre.pos_idx != outer.hi || outer.init.is_some() {
         return None;
     }
+    let (y_mem, y_idx, acc0, y_pc) = c.load()?;
+    let row = pos_pair(&mut c, &pre, outer.iv)?;
+    let inner = open_for(&mut c, &pre)?;
+    let (acc_in, acc_src) = inner.init?;
+    if y_idx != outer.iv || (inner.lo, inner.hi) != (row.lo, row.hi) || acc_src != acc0 {
+        return None;
+    }
+    let crd = crd_block(&mut c, &pre, inner.iv)?;
+    let pf_mem = match crd.prefetched {
+        Some(mem) => mem,
+        None => match c.next()? {
+            Instr::Prefetch {
+                mem,
+                idx,
+                write: false,
+                ..
+            } if *idx == crd.g => *mem,
+            _ => return None,
+        },
+    };
     let Instr::DotStep {
         a_dst,
         a_mem: vals_mem,
@@ -647,256 +527,79 @@ fn match_spmv_unfused(prog: &Program) -> Option<SpmvPlan> {
         b_pc: ds_b_pc,
         a,
         b,
-        mul_dst: _,
-        mul_pc: _,
         acc,
         acc_is_rhs,
         dst: ds_dst,
-        pc: _,
-    } = &ins[p + 14]
+        ..
+    } = c.next()?
     else {
         return None;
     };
     // The prefetch targets the dense vector the dot step gathers from,
     // and the gathered index is the coordinate loaded this iteration.
-    if a_idx != jv || *b_idx != col || a != a_dst || b != b_dst || acc != acc_in || x_mem != pf_mem
+    if (*a_idx, *b_idx) != (inner.iv, crd.col)
+        || (a, b) != (a_dst, b_dst)
+        || *acc != acc_in
+        || *x_mem != pf_mem
     {
         return None;
     }
-    let Instr::LoopBack {
-        iv: ib_iv,
-        step: ib_step,
-        hi: ib_hi,
-        body: ib_body,
-        exit: ib_exit,
-        copies: ib_copies,
-        pc: ib_pc,
-    } = &ins[p + 15]
-    else {
+    close_for(&mut c, &inner, &[(acc_in, *ds_dst)])?;
+    let Instr::Copy { dst: res, src } = c.next()? else {
         return None;
     };
-    if ib_iv != jv
-        || !one(ib_step)
-        || *ib_hi != hi_slot
-        || *ib_body as usize != p + 9
-        || *ib_exit as usize != p + 16
-        || ib_copies.as_slice() != [(*acc_in, *ds_dst)]
-        || ib_pc != inner_pc
-    {
-        return None;
-    }
-    let Instr::Copy {
-        dst: res,
-        src: res_src,
-    } = &ins[p + 16]
-    else {
-        return None;
-    };
-    if res_src != acc_in {
-        return None;
-    }
     let Instr::Store {
         mem: st_mem,
         idx: st_idx,
         src: st_src,
-        pc: _,
-    } = &ins[p + 17]
+        ..
+    } = c.next()?
     else {
         return None;
     };
-    if st_mem != y_mem || st_idx != iv || st_src != res {
+    if *src != acc_in || (*st_mem, *st_idx, st_src) != (y_mem, outer.iv, res) {
         return None;
     }
-    let Instr::LoopBack {
-        iv: b_iv,
-        step: b_step,
-        hi: b_hi,
-        body,
-        exit: b_exit,
-        copies,
-        pc: b_pc,
-    } = &ins[p + 18]
-    else {
-        return None;
-    };
-    if b_iv != iv
-        || b_step != step
-        || b_hi != hi
-        || *body as usize != p + 2
-        || *b_exit as usize != p + 19
-        || !copies.is_empty()
-        || b_pc != outer_pc
-    {
-        return None;
-    }
-    let Instr::Return { vals } = &ins[p + 19] else {
-        return None;
-    };
-    if !vals.is_empty() {
-        return None;
-    }
+    close_for(&mut c, &outer, &[])?;
+    end_return(&mut c)?;
     Some(SpmvPlan {
-        nrows_arg,
-        pos_arg: mem_arg(prog, pre_mem)?,
-        y_arg: mem_arg(prog, *y_mem)?,
-        crd_arg: mem_arg(prog, crd_mem)?,
+        nrows_arg: arg_of(prog, outer.hi)?,
+        pos_arg: mem_arg(prog, pre.pos_mem)?,
+        y_arg: mem_arg(prog, y_mem)?,
+        crd_arg: mem_arg(prog, crd.mem)?,
         x_arg: mem_arg(prog, *x_mem)?,
         vals_arg: mem_arg(prog, *vals_mem)?,
-        dist_x,
-        dist_crd,
+        dist_x: crd.dist_x,
+        dist_crd: crd.dist_crd,
         acc_is_rhs: *acc_is_rhs,
-        pre_pos_pc,
-        outer_pc: *outer_pc,
-        y_pc: *y_pc,
-        pos_lo_pc,
-        pos_hi_pc,
-        inner_pc: *inner_pc,
-        lc_pc,
-        gp_crd_pc,
+        pre_pos_pc: pre.pos_pc,
+        outer_pc: outer.pc,
+        y_pc,
+        pos_lo_pc: row.lo_pc,
+        pos_hi_pc: row.hi_pc,
+        inner_pc: inner.pc,
+        lc_pc: crd.crd_pc,
+        gp_crd_pc: crd.g_pc,
         ds_a_pc: *ds_a_pc,
         ds_b_pc: *ds_b_pc,
     })
 }
 
+/// The three-deep ASaP CSR SpMM nest: rows, nonzeros (with the
+/// outer-loop prefetches of `C[crd[·], 0]`), and the `K` columns.
 fn match_spmm(prog: &Program) -> Option<SpmmPlan> {
-    let pre = scan_prelude(prog)?;
-    let ins = &prog.instrs;
-    let p = pre.p;
-    if ins.len() != p + 28 {
+    let (pre, mut c) = scan_prelude(prog)?;
+    let outer = open_for(&mut c, &pre)?;
+    if !pre.is(outer.lo, 0) || pre.pos_idx != outer.hi || outer.init.is_some() {
         return None;
     }
-    let (pre_mem, pre_idx, pre_cast, pre_pos_pc) = pre.pre_load?;
-    let (bound_slot, bound_lhs) = pre.bound?;
-    if bound_lhs != pre_cast {
+    let row = pos_pair(&mut c, &pre, outer.iv)?;
+    let (rowbase, rb_lhs, k_slot) = c.bin(BinOp::MulI)?;
+    let mid = open_for(&mut c, &pre)?;
+    if rb_lhs != outer.iv || (mid.lo, mid.hi) != (row.lo, row.hi) || mid.init.is_some() {
         return None;
     }
-    let one = |s: &u32| pre.consts.get(s) == Some(&1);
-    let zero = |s: &u32| pre.consts.get(s) == Some(&0);
-
-    let Instr::ForPrologue {
-        lo, hi, step, iv, ..
-    } = &ins[p]
-    else {
-        return None;
-    };
-    if !zero(lo) || !one(step) || pre_idx != *hi {
-        return None;
-    }
-    let nrows_arg = arg_of(prog, *hi)?;
-    let Instr::ForHead {
-        iv: h_iv,
-        hi: h_hi,
-        exit,
-        pc: outer_pc,
-    } = &ins[p + 1]
-    else {
-        return None;
-    };
-    if h_iv != iv || h_hi != hi || *exit as usize != p + 27 {
-        return None;
-    }
-    let (lo_mem, lo_idx, lo_slot, pos_lo_pc) = load_like(&ins[p + 2])?;
-    if lo_mem != pre_mem || lo_idx != *iv {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddI,
-        dst: ip1,
-        lhs: a_lhs,
-        rhs: a_rhs,
-        ..
-    } = &ins[p + 3]
-    else {
-        return None;
-    };
-    if a_lhs != iv || !one(a_rhs) {
-        return None;
-    }
-    let (hi_mem, hi_idx, hi_slot, pos_hi_pc) = load_like(&ins[p + 4])?;
-    if hi_mem != pre_mem || hi_idx != *ip1 {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::MulI,
-        dst: rowbase,
-        lhs: rb_lhs,
-        rhs: k_slot,
-        ..
-    } = &ins[p + 5]
-    else {
-        return None;
-    };
-    if rb_lhs != iv {
-        return None;
-    }
-    let k_arg = arg_of(prog, *k_slot)?;
-    let Instr::ForPrologue {
-        lo: m_lo,
-        hi: m_hi,
-        step: m_step,
-        iv: jv,
-        ..
-    } = &ins[p + 6]
-    else {
-        return None;
-    };
-    if *m_lo != lo_slot || *m_hi != hi_slot || !one(m_step) {
-        return None;
-    }
-    let Instr::ForHead {
-        iv: mh_iv,
-        hi: mh_hi,
-        exit: m_exit,
-        pc: mid_pc,
-    } = &ins[p + 7]
-    else {
-        return None;
-    };
-    if mh_iv != jv || *mh_hi != hi_slot || *m_exit as usize != p + 26 {
-        return None;
-    }
-    let (crd_mem, c_idx, col, crd_pc) = load_like(&ins[p + 8])?;
-    if c_idx != *jv {
-        return None;
-    }
-    let Instr::AddPrefetch {
-        op: BinOp::AddI,
-        lhs: ap_lhs,
-        rhs: ap_rhs,
-        mem: ap_mem,
-        write: false,
-        ..
-    } = &ins[p + 9]
-    else {
-        return None;
-    };
-    if ap_lhs != jv || *ap_mem != crd_mem {
-        return None;
-    }
-    let dist_crd = *pre.consts.get(ap_rhs)?;
-    let Instr::ClampSelect {
-        op: BinOp::AddI,
-        add_dst,
-        add_lhs,
-        add_rhs,
-        pred: CmpPred::Ult,
-        cmp_rhs,
-        dst: clamped,
-        if_true,
-        if_false,
-        ..
-    } = &ins[p + 10]
-    else {
-        return None;
-    };
-    if add_lhs != jv || cmp_rhs != &bound_slot || if_true != add_dst || if_false != cmp_rhs {
-        return None;
-    }
-    let dist_x = *pre.consts.get(add_rhs)?;
-    let (g_mem, g_idx, g_col, gp_crd_pc) = load_like(&ins[p + 11])?;
-    if g_mem != crd_mem || g_idx != *clamped {
-        return None;
-    }
+    let crd = crd_block(&mut c, &pre, mid.iv)?;
     let Instr::AddPrefetch {
         op: BinOp::MulI,
         lhs: gp_lhs,
@@ -904,237 +607,75 @@ fn match_spmm(prog: &Program) -> Option<SpmmPlan> {
         mem: c_mem,
         write: false,
         ..
-    } = &ins[p + 12]
+    } = c.next()?
     else {
         return None;
     };
-    if *gp_lhs != g_col || gp_rhs != k_slot {
+    let (vals_mem, v_idx, a_slot, vals_pc) = c.load()?;
+    let (cbase, cb_lhs, cb_rhs) = c.bin(BinOp::MulI)?;
+    if crd.prefetched.is_some()
+        || (*gp_lhs, *gp_rhs) != (crd.g, k_slot)
+        || v_idx != mid.iv
+        || (cb_lhs, cb_rhs) != (crd.col, k_slot)
+    {
         return None;
     }
-    let Instr::Load {
-        dst: a_slot,
-        mem: vals_mem,
-        idx: v_idx,
-        pc: vals_pc,
-    } = &ins[p + 13]
-    else {
-        return None;
-    };
-    if v_idx != jv {
+    let inner = open_for(&mut c, &pre)?;
+    if !pre.is(inner.lo, 0) || inner.hi != k_slot || inner.init.is_some() {
         return None;
     }
-    let Instr::Bin {
-        op: BinOp::MulI,
-        dst: cbase,
-        lhs: cb_lhs,
-        rhs: cb_rhs,
-        ..
-    } = &ins[p + 14]
-    else {
-        return None;
-    };
-    if *cb_lhs != col || cb_rhs != k_slot {
-        return None;
-    }
-    let Instr::ForPrologue {
-        lo: k_lo,
-        hi: k_hi,
-        step: k_step,
-        iv: kv,
-        ..
-    } = &ins[p + 15]
-    else {
-        return None;
-    };
-    if !zero(k_lo) || k_hi != k_slot || !one(k_step) {
-        return None;
-    }
-    let Instr::ForHead {
-        iv: kh_iv,
-        hi: kh_hi,
-        exit: k_exit,
-        pc: inner_pc,
-    } = &ins[p + 16]
-    else {
-        return None;
-    };
-    if kh_iv != kv || kh_hi != k_slot || *k_exit as usize != p + 25 {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddI,
-        dst: cidx,
-        lhs: ci_lhs,
-        rhs: ci_rhs,
-        ..
-    } = &ins[p + 17]
-    else {
-        return None;
-    };
-    if ci_lhs != cbase || ci_rhs != kv {
-        return None;
-    }
-    let Instr::Load {
-        dst: c_val,
-        mem: c_mem2,
-        idx: c_idx2,
-        pc: c_pc,
-    } = &ins[p + 18]
-    else {
-        return None;
-    };
-    if c_mem2 != c_mem || c_idx2 != cidx {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::MulF,
-        dst: prod,
-        lhs: p_lhs,
-        rhs: p_rhs,
-        ..
-    } = &ins[p + 19]
-    else {
-        return None;
-    };
-    if p_lhs != a_slot || p_rhs != c_val {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddI,
-        dst: oidx,
-        lhs: o_lhs,
-        rhs: o_rhs,
-        ..
-    } = &ins[p + 20]
-    else {
-        return None;
-    };
-    if o_lhs != rowbase || o_rhs != kv {
-        return None;
-    }
-    let Instr::Load {
-        dst: o_val,
-        mem: out_mem,
-        idx: ol_idx,
-        pc: out_pc,
-    } = &ins[p + 21]
-    else {
-        return None;
-    };
-    if ol_idx != oidx {
-        return None;
-    }
-    let Instr::Bin {
-        op: BinOp::AddF,
-        dst: sum,
-        lhs: s_lhs,
-        rhs: s_rhs,
-        ..
-    } = &ins[p + 22]
-    else {
-        return None;
-    };
+    let (cidx, ci_lhs, ci_rhs) = c.bin(BinOp::AddI)?;
+    let (c_mem2, c_idx, c_val, c_pc) = c.load()?;
+    let (prod, p_lhs, p_rhs) = c.bin(BinOp::MulF)?;
+    let (oidx, o_lhs, o_rhs) = c.bin(BinOp::AddI)?;
+    let (out_mem, ol_idx, o_val, out_pc) = c.load()?;
     // `Out[..] + product` — the lowered operand order the native loop
     // replays for bit-exactness.
-    if s_lhs != o_val || s_rhs != prod {
-        return None;
-    }
+    let (sum, s_lhs, s_rhs) = c.bin(BinOp::AddF)?;
     let Instr::Store {
         mem: st_mem,
         idx: st_idx,
         src: st_src,
         ..
-    } = &ins[p + 23]
+    } = c.next()?
     else {
         return None;
     };
-    if st_mem != out_mem || st_idx != oidx || st_src != sum {
-        return None;
-    }
-    let Instr::LoopBack {
-        iv: kb_iv,
-        body: kb_body,
-        exit: kb_exit,
-        copies: kb_copies,
-        pc: kb_pc,
-        ..
-    } = &ins[p + 24]
-    else {
-        return None;
-    };
-    if kb_iv != kv
-        || *kb_body as usize != p + 17
-        || *kb_exit as usize != p + 25
-        || !kb_copies.is_empty()
-        || kb_pc != inner_pc
+    if (ci_lhs, ci_rhs) != (cbase, inner.iv)
+        || (c_mem2, c_idx) != (*c_mem, cidx)
+        || (p_lhs, p_rhs) != (a_slot, c_val)
+        || (o_lhs, o_rhs) != (rowbase, inner.iv)
+        || ol_idx != oidx
+        || (s_lhs, s_rhs) != (o_val, prod)
+        || (*st_mem, *st_idx, *st_src) != (out_mem, oidx, sum)
     {
         return None;
     }
-    let Instr::LoopBack {
-        iv: mb_iv,
-        body: mb_body,
-        exit: mb_exit,
-        copies: mb_copies,
-        pc: mb_pc,
-        ..
-    } = &ins[p + 25]
-    else {
-        return None;
-    };
-    if mb_iv != jv
-        || *mb_body as usize != p + 8
-        || *mb_exit as usize != p + 26
-        || !mb_copies.is_empty()
-        || mb_pc != mid_pc
-    {
-        return None;
-    }
-    let Instr::LoopBack {
-        iv: ob_iv,
-        body: ob_body,
-        exit: ob_exit,
-        copies: ob_copies,
-        pc: ob_pc,
-        ..
-    } = &ins[p + 26]
-    else {
-        return None;
-    };
-    if ob_iv != iv
-        || *ob_body as usize != p + 2
-        || *ob_exit as usize != p + 27
-        || !ob_copies.is_empty()
-        || ob_pc != outer_pc
-    {
-        return None;
-    }
-    let Instr::Return { vals } = &ins[p + 27] else {
-        return None;
-    };
-    if !vals.is_empty() {
-        return None;
-    }
+    close_for(&mut c, &inner, &[])?;
+    close_for(&mut c, &mid, &[])?;
+    close_for(&mut c, &outer, &[])?;
+    end_return(&mut c)?;
     Some(SpmmPlan {
-        nrows_arg,
-        k_arg,
-        pos_arg: mem_arg(prog, pre_mem)?,
-        crd_arg: mem_arg(prog, crd_mem)?,
+        nrows_arg: arg_of(prog, outer.hi)?,
+        k_arg: arg_of(prog, k_slot)?,
+        pos_arg: mem_arg(prog, pre.pos_mem)?,
+        crd_arg: mem_arg(prog, crd.mem)?,
         c_arg: mem_arg(prog, *c_mem)?,
-        vals_arg: mem_arg(prog, *vals_mem)?,
-        out_arg: mem_arg(prog, *out_mem)?,
-        dist_x,
-        dist_crd,
-        pre_pos_pc,
-        outer_pc: *outer_pc,
-        pos_lo_pc,
-        pos_hi_pc,
-        mid_pc: *mid_pc,
-        crd_pc,
-        gp_crd_pc,
-        vals_pc: *vals_pc,
-        inner_pc: *inner_pc,
-        c_pc: *c_pc,
-        out_pc: *out_pc,
+        vals_arg: mem_arg(prog, vals_mem)?,
+        out_arg: mem_arg(prog, out_mem)?,
+        dist_x: crd.dist_x,
+        dist_crd: crd.dist_crd,
+        pre_pos_pc: pre.pos_pc,
+        outer_pc: outer.pc,
+        pos_lo_pc: row.lo_pc,
+        pos_hi_pc: row.hi_pc,
+        mid_pc: mid.pc,
+        crd_pc: crd.crd_pc,
+        gp_crd_pc: crd.g_pc,
+        vals_pc,
+        inner_pc: inner.pc,
+        c_pc,
+        out_pc,
     })
 }
 

@@ -151,7 +151,8 @@ impl MemoryModel for TraceModel {
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::interp::{interpret, BufferData, Buffers, V};
+    use crate::interp::interpret;
+    use crate::mem::{BufferData, Buffers, V};
     use crate::types::Type;
 
     fn streaming_func() -> crate::Function {

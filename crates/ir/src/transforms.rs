@@ -206,7 +206,8 @@ fn remove_dead(r: &mut Region, used: &HashSet<Value>) {
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::interp::{interpret, BufferData, Buffers, CountingModel, V};
+    use crate::interp::interpret;
+    use crate::mem::{BufferData, Buffers, CountingModel, V};
     use crate::types::Type;
     use crate::verify::verify;
 

@@ -293,11 +293,13 @@ pub fn parse_run_request(body: &[u8], ctx: &RequestCtx) -> Result<RunRequest, Ru
     let engine = match v.get("engine").map(|s| s.as_str()) {
         None | Some(Some("auto")) => ExecEngine::Auto,
         Some(Some("bytecode")) => ExecEngine::Bytecode,
-        Some(Some("tree-walk")) => ExecEngine::TreeWalk,
         Some(Some("tier2")) => ExecEngine::Tier2,
+        // The tree-walking interpreter is the oracle the other engines
+        // are checked against, not a serving engine: it is not on the
+        // wire.
         Some(Some(other)) => {
             return Err(AsapError::binding(format!(
-                "unknown engine {other:?}: expected auto, bytecode, tree-walk, or tier2"
+                "unknown engine {other:?}: expected auto, bytecode, or tier2"
             ))
             .into())
         }
@@ -421,11 +423,11 @@ mod tests {
     fn parses_a_full_request() {
         let fx = Fixture::new(64 * 1024 * 1024);
         let body = br#"{"kernel":"spmm","matrix":"gen:banded:256:4","cols":3,
-                        "strategy":"aj","distance":16,"engine":"tree-walk","deadline_ms":250}"#;
+                        "strategy":"aj","distance":16,"engine":"bytecode","deadline_ms":250}"#;
         let r = parse_run_request(body, &fx.ctx()).unwrap();
         assert_eq!(r.kernel, ServiceKernel::Spmm { cols: 3 });
         assert_eq!(r.strategy_label, "ainsworth-jones");
-        assert_eq!(r.engine, ExecEngine::TreeWalk);
+        assert_eq!(r.engine, ExecEngine::Bytecode);
         assert_eq!(r.deadline_ms, 250);
         assert_eq!(r.sparse().dims(), &[256, 256]);
         assert!(!r.resident.store_hit, "first sight is a miss");
@@ -530,7 +532,7 @@ mod tests {
     #[test]
     fn rejects_bad_requests_with_typed_errors() {
         let fx = Fixture::new(64 * 1024 * 1024);
-        let cases: [(&[u8], &str); 8] = [
+        let cases: [(&[u8], &str); 9] = [
             (b"not json", "json"),
             (br#"[1,2]"#, "binding"),
             (br#"{"matrix":"gen:er:256:4"}"#, "binding"),
@@ -546,6 +548,10 @@ mod tests {
             ),
             (
                 br#"{"kernel":"spmv","matrix":"gen:er:256:4","engine":"jit"}"#,
+                "binding",
+            ),
+            (
+                br#"{"kernel":"spmv","matrix":"gen:er:256:4","engine":"tree-walk"}"#,
                 "binding",
             ),
         ];

@@ -91,6 +91,12 @@ fn tier2_engine_is_served_bit_identically_and_unmatched_shapes_400() {
             r#"{{"kernel":"spmv","matrix":"gen:er:1024:4","strategy":"asap","engine":"{engine}"}}"#
         );
         let reply = post(addr, "/v1/run", &body, TIMEOUT).expect("transport ok");
+        if engine == "tree-walk" {
+            // The oracle interpreter is not a serving engine.
+            assert_eq!(reply.status, 400, "engine {engine}: {}", reply.body);
+            assert_eq!(field(&reply.body, "kind").as_deref(), Some("binding"));
+            continue;
+        }
         assert_eq!(reply.status, 200, "engine {engine}: {}", reply.body);
         let used = field(&reply.body, "engine").expect("engine field");
         match engine {
