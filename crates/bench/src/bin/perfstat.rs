@@ -11,13 +11,16 @@
 //! the tier-2-over-VM speedup falls below `--min-tier2-speedup`, the
 //! disabled-observability overhead exceeds `--max-obs-overhead`, or
 //! building the matrices' storage takes more than
-//! [`MAX_BUILD_OVER_BYTECODE`] times running them on the VM (all CI
-//! regression gates).
+//! [`MAX_BUILD_OVER_BYTECODE`] times running them on the VM, or binding
+//! them takes more than [`MAX_BIND_OVER_TIER2`] times running them on
+//! tier-2 (all CI regression gates).
 //!
 //! The build column times what every figure cell and every fresh upload
 //! pays before any engine runs: `Triplets::try_to_coo_f64` +
 //! `SparseTensor::try_from_coo` (min of reps, `build_min_ms`;
-//! `build_mnnz_per_s` is input entries over that time).
+//! `build_mnnz_per_s` is input entries over that time). The bind column
+//! (`bind_min_us`) times what every run pays between the two:
+//! `asap_sparsifier::bind`, min over every rep of every engine.
 //!
 //! A further timing configuration re-runs the bytecode engine with the
 //! (disabled) span-recorder instrumentation exercised every rep — the
@@ -73,6 +76,14 @@ impl MemoryModel for CountModel {
 /// the ratio is machine-independent). 19x before the O(nnz) assembly,
 /// under 3x with it.
 const MAX_BUILD_OVER_BYTECODE: f64 = 4.0;
+
+/// Gate: binding every matrix may take at most this fraction of one
+/// tier-2 run of them (min-of-reps totals, one process). A bind shares
+/// the sparse operand's arrays and copies only the dense operands (`x`
+/// and the zeroed output), so the ratio is small but not zero: 0.04 on
+/// the small collection, gated with 2x headroom. With the per-bind copy
+/// of `pos`/`crd`/`vals` this replaced it read 0.34-0.37.
+const MAX_BIND_OVER_TIER2: f64 = 0.1;
 
 struct Args {
     size: SizeClass,
@@ -144,6 +155,8 @@ struct Row {
     input_nnz: usize,
     /// Min-of-reps `try_to_coo_f64` + `try_from_coo` time.
     build_min_ms: f64,
+    /// Min over every rep of every engine of `bind` (microseconds).
+    bind_min_us: f64,
     instructions: u64,
     tree_ms: f64,
     byte_ms: f64,
@@ -197,10 +210,11 @@ impl Row {
 /// Time `reps` runs of one engine; returns (total elapsed ms, min
 /// single-rep ms, instructions per run, bitwise output). Instructions
 /// and output are identical across reps (the engines are
-/// deterministic). Operand binding — the O(nnz) copy of the sparse
-/// arrays into interpreter buffers — happens outside the timed window:
-/// it is identical for both engines and would only dilute the A/B
-/// ratio.
+/// deterministic). Operand binding happens outside the timed window —
+/// it is identical for every engine and would only dilute the A/B
+/// ratio — and is timed on its own: the fastest bind lowers
+/// `bind_min_us`.
+#[allow(clippy::too_many_arguments)]
 fn time_engine(
     ck: &asap_core::CompiledKernel,
     sparse: &SparseTensor,
@@ -209,6 +223,7 @@ fn time_engine(
     reps: usize,
     budget: &Budget,
     obs: bool,
+    bind_min_us: &mut f64,
 ) -> Result<(f64, f64, u64, Vec<u64>), String> {
     let n = sparse.dims()[1];
     let cx = DenseTensor::from_f64(vec![n], x.to_vec());
@@ -219,7 +234,9 @@ fn time_engine(
     let mut elapsed = 0.0;
     let mut min_rep = f64::INFINITY;
     for _ in 0..reps {
+        let start = Instant::now();
         let mut bound = bind(&ck.kernel, sparse, &[&cx], &out).map_err(|e| e.to_string())?;
+        *bind_min_us = bind_min_us.min(start.elapsed().as_secs_f64() * 1e6);
         let mut model = CountModel::default();
         let start = Instant::now();
         // With `obs` set, exercise the per-run instrumentation the
@@ -289,6 +306,7 @@ fn real_main() -> Result<(), String> {
         let ck = compile_cached(&spec, sparse.format(), sparse.index_width(), &strategy)
             .map_err(|e| e.to_string())?;
         let x = service_x(tri.ncols);
+        let mut bind_min_us = f64::INFINITY;
 
         let (tree_ms, _, tree_instr, tree_bits) = time_engine(
             &ck,
@@ -298,6 +316,7 @@ fn real_main() -> Result<(), String> {
             args.reps,
             &unarmed,
             false,
+            &mut bind_min_us,
         )
         .map_err(|e| format!("{}: tree-walk: {e}", m.name))?;
         let (byte_ms, byte_min_ms, byte_instr, byte_bits) = time_engine(
@@ -308,6 +327,7 @@ fn real_main() -> Result<(), String> {
             args.reps,
             &unarmed,
             false,
+            &mut bind_min_us,
         )
         .map_err(|e| format!("{}: bytecode: {e}", m.name))?;
         let (governed_ms, governed_min_ms, governed_instr, governed_bits) = time_engine(
@@ -318,6 +338,7 @@ fn real_main() -> Result<(), String> {
             args.reps,
             &armed,
             false,
+            &mut bind_min_us,
         )
         .map_err(|e| format!("{}: bytecode (budgeted): {e}", m.name))?;
         let (tier2_ms, tier2_min_ms, _, tier2_bits) = time_engine(
@@ -328,6 +349,7 @@ fn real_main() -> Result<(), String> {
             args.reps,
             &unarmed,
             false,
+            &mut bind_min_us,
         )
         .map_err(|e| format!("{}: tier-2: {e}", m.name))?;
         let (_, obs_min_ms, obs_instr, obs_bits) = time_engine(
@@ -338,6 +360,7 @@ fn real_main() -> Result<(), String> {
             args.reps,
             &unarmed,
             true,
+            &mut bind_min_us,
         )
         .map_err(|e| format!("{}: bytecode (obs): {e}", m.name))?;
         if tree_bits != byte_bits
@@ -359,6 +382,7 @@ fn real_main() -> Result<(), String> {
             nnz: sparse.nnz(),
             input_nnz: tri.nnz(),
             build_min_ms,
+            bind_min_us,
             instructions: tree_instr,
             tree_ms,
             byte_ms,
@@ -397,6 +421,8 @@ fn real_main() -> Result<(), String> {
     let tier2_min_total: f64 = rows.iter().map(|r| r.tier2_min_ms).sum();
     let obs_min_total: f64 = rows.iter().map(|r| r.obs_min_ms).sum();
     let build_min_total: f64 = rows.iter().map(|r| r.build_min_ms).sum();
+    let bind_min_total_us: f64 = rows.iter().map(|r| r.bind_min_us).sum();
+    let bind_over_tier2 = bind_min_total_us / (tier2_min_total * 1e3);
     let input_nnz_total: usize = rows.iter().map(|r| r.input_nnz).sum();
     let build_mnnz_per_s = input_nnz_total as f64 / (build_min_total * 1e3);
     let build_over_bytecode = build_min_total / byte_min_total;
@@ -434,6 +460,10 @@ fn real_main() -> Result<(), String> {
          {build_mnnz_per_s:.1} Mnnz/s"
     );
     println!(
+        "operand bind: {bind_min_total_us:.1} us vs tier-2 {tier2_min_total:.1} ms (min-of-reps), \
+         {bind_over_tier2:.3}x one tier-2 run (gate: <= {MAX_BIND_OVER_TIER2}x)"
+    );
+    println!(
         "compile cache: {} hits, {} misses ({} tier-2-specialized hits, {} misses), \
          {} evictions, {} poison recoveries, ~{} bytes resident",
         cache.hits,
@@ -464,6 +494,7 @@ fn real_main() -> Result<(), String> {
                 .raw("obs_min_ms", &format!("{:.3}", r.obs_min_ms))
                 .raw("build_min_ms", &format!("{:.3}", r.build_min_ms))
                 .raw("build_mnnz_per_s", &format!("{:.1}", r.build_mnnz_per_s()))
+                .raw("bind_min_us", &format!("{:.1}", r.bind_min_us))
                 .raw("tree_walk_mips", &format!("{:.1}", r.mips(r.tree_ms)))
                 .raw("bytecode_mips", &format!("{:.1}", r.mips(r.byte_ms)))
                 .raw("tier2_mips", &format!("{:.1}", r.mips(r.tier2_ms)))
@@ -487,6 +518,7 @@ fn real_main() -> Result<(), String> {
             .raw("obs_min_ms", &format!("{obs_min_total:.3}"))
             .raw("build_min_ms", &format!("{build_min_total:.3}"))
             .raw("build_mnnz_per_s", &format!("{build_mnnz_per_s:.1}"))
+            .raw("bind_min_us", &format!("{bind_min_total_us:.1}"))
             .raw(
                 "tree_walk_mips",
                 &format!("{:.1}", instr_total as f64 / (tree_total * 1e3)),
@@ -544,6 +576,12 @@ fn real_main() -> Result<(), String> {
         return Err(format!(
             "storage build {build_min_total:.1} ms is {build_over_bytecode:.2}x the bytecode run \
              {byte_min_total:.1} ms, above the allowed {MAX_BUILD_OVER_BYTECODE}x"
+        ));
+    }
+    if bind_over_tier2 > MAX_BIND_OVER_TIER2 {
+        return Err(format!(
+            "operand bind {bind_min_total_us:.1} us is {bind_over_tier2:.3}x the tier-2 run \
+             {tier2_min_total:.1} ms, above the allowed {MAX_BIND_OVER_TIER2}x"
         ));
     }
     if obs_overhead > args.max_obs_overhead {

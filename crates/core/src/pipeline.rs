@@ -536,6 +536,111 @@ mod tests {
         SparseTensor::from_coo(&coo, fmt)
     }
 
+    /// `bind`'s arena — `(base_addr, len, elem_bytes)` of every buffer, in
+    /// `Buffers::add` order — for an SpMV and an SpMM over CSR, COO and
+    /// DCSR at both index widths, against constants captured from the
+    /// tree before operands were shared (`9a7b237`). A simulated address
+    /// that drifts shows here, not only as a golden mismatch.
+    #[test]
+    fn bind_lays_the_arena_out_as_before_operands_were_shared() {
+        // 700 x 900, 0..=4 entries a row, rows 5k empty: 1400 non-zeros.
+        let (rows, cols) = (700usize, 900usize);
+        let mut coords = Vec::new();
+        for r in 0..rows {
+            for k in 0..r % 5 {
+                coords.extend([r, (r * 7 + k * 131) % cols]);
+            }
+        }
+        let nnz = coords.len() / 2;
+        let vals = (0..nnz).map(|i| 0.5 + i as f64).collect();
+        let coo = CooTensor::new(vec![rows, cols], coords, Values::F64(vals));
+        let x = DenseTensor::from_f64(vec![cols], vec![1.0; cols]);
+        let y = DenseTensor::zeros(ValueKind::F64, vec![rows]);
+        let c = DenseTensor::from_f64(vec![cols, 4], vec![1.0; cols * 4]);
+        let out = DenseTensor::zeros(ValueKind::F64, vec![rows, 4]);
+        const WANT: &[(&str, &str)] = &[
+            ("spmv/CSR/U32", "[(268435456, 701, 4), (268505088, 1400, 4), (268578816, 1400, 8), (268656640, 900, 8), (268730368, 700, 8)]"),
+            ("spmm/CSR/U32", "[(268435456, 701, 4), (268505088, 1400, 4), (268578816, 1400, 8), (268656640, 3600, 8), (268754944, 2800, 8)]"),
+            ("spmv/CSR/U64", "[(268435456, 701, 8), (268509184, 1400, 8), (268587008, 1400, 8), (268664832, 900, 8), (268738560, 700, 8)]"),
+            ("spmm/CSR/U64", "[(268435456, 701, 8), (268509184, 1400, 8), (268587008, 1400, 8), (268664832, 3600, 8), (268763136, 2800, 8)]"),
+            ("spmv/COO/U32", "[(268435456, 2, 4), (268505088, 1400, 4), (268578816, 1400, 4), (268652544, 1400, 8), (268730368, 900, 8), (268804096, 700, 8)]"),
+            ("spmm/COO/U32", "[(268435456, 2, 4), (268505088, 1400, 4), (268578816, 1400, 4), (268652544, 1400, 8), (268730368, 3600, 8), (268828672, 2800, 8)]"),
+            ("spmv/COO/U64", "[(268435456, 2, 8), (268505088, 1400, 8), (268582912, 1400, 8), (268660736, 1400, 8), (268738560, 900, 8), (268812288, 700, 8)]"),
+            ("spmm/COO/U64", "[(268435456, 2, 8), (268505088, 1400, 8), (268582912, 1400, 8), (268660736, 1400, 8), (268738560, 3600, 8), (268836864, 2800, 8)]"),
+            ("spmv/DCSR/U32", "[(268435456, 2, 4), (268505088, 560, 4), (268574720, 561, 4), (268644352, 1400, 4), (268718080, 1400, 8), (268795904, 900, 8), (268869632, 700, 8)]"),
+            ("spmm/DCSR/U32", "[(268435456, 2, 4), (268505088, 560, 4), (268574720, 561, 4), (268644352, 1400, 4), (268718080, 1400, 8), (268795904, 3600, 8), (268894208, 2800, 8)]"),
+            ("spmv/DCSR/U64", "[(268435456, 2, 8), (268505088, 560, 8), (268578816, 561, 8), (268652544, 1400, 8), (268730368, 1400, 8), (268808192, 900, 8), (268881920, 700, 8)]"),
+            ("spmm/DCSR/U64", "[(268435456, 2, 8), (268505088, 560, 8), (268578816, 561, 8), (268652544, 1400, 8), (268730368, 1400, 8), (268808192, 3600, 8), (268906496, 2800, 8)]"),
+        ];
+        let mut got = Vec::new();
+        for fmt in [Format::csr(), Format::coo(), Format::dcsr()] {
+            for width in [IndexWidth::U32, IndexWidth::U64] {
+                let mut b = SparseTensor::from_coo(&coo, fmt.clone());
+                b.set_index_width(width);
+                for (kernel, spec, dense, o) in [
+                    ("spmv", KernelSpec::spmv(ValueKind::F64), &x, &y),
+                    ("spmm", KernelSpec::spmm(ValueKind::F64), &c, &out),
+                ] {
+                    let ck =
+                        compile_with_width(&spec, &fmt, width, &PrefetchStrategy::none()).unwrap();
+                    let bound = bind(&ck.kernel, &b, &[dense], o).unwrap();
+                    let layout: Vec<(u64, usize, u8)> = (0..bound.bufs.len() as u32)
+                        .map(|id| {
+                            let buf = bound.bufs.get(id);
+                            (buf.base_addr, buf.data.len(), buf.data.elem_bytes())
+                        })
+                        .collect();
+                    got.push((format!("{kernel}/{fmt}/{width:?}"), format!("{layout:?}")));
+                }
+            }
+        }
+        assert_eq!(got.len(), WANT.len());
+        for ((name, layout), (want_name, want)) in got.iter().zip(WANT) {
+            assert_eq!(name, want_name);
+            assert_eq!(layout, want, "{name}");
+        }
+    }
+
+    /// One resident tensor, two request threads: each `bind` shares the
+    /// tensor's arrays instead of copying them, so concurrent tier-2 runs
+    /// read the same memory. Every checksum is the single-threaded one
+    /// and the tensor is intact afterwards.
+    #[test]
+    fn two_threads_bind_one_tensor_and_run_tier2_concurrently() {
+        use std::sync::{Arc, Barrier};
+        let n = 257usize;
+        let coords = (0..n).flat_map(|r| [r, r, r, (r * 5 + 3) % n]).collect();
+        let vals = (0..2 * n).map(|i| 0.25 + (i % 19) as f64 * 0.5).collect();
+        let coo = CooTensor::new(vec![n, n], coords, Values::F64(vals));
+        let b = Arc::new(SparseTensor::from_coo(&coo, Format::csr()));
+        let x = DenseTensor::from_f64(vec![n], (0..n).map(|i| 1.0 + i as f64).collect());
+        let spec = KernelSpec::spmv(ValueKind::F64);
+        let ck = compile(&spec, &Format::csr(), &PrefetchStrategy::asap(45)).unwrap();
+        let plan = ck.tier2.as_ref().expect("CSR ASaP SpMV must specialize");
+        let run_once = || {
+            let mut y = DenseTensor::zeros(ValueKind::F64, vec![n]);
+            let mut bound = bind(&ck.kernel, &b, &[&x], &y).unwrap();
+            plan.run(&bound.args, &mut bound.bufs, &Budget::unlimited())
+                .unwrap();
+            read_back(&mut y, &bound).unwrap();
+            crate::service::checksum_f64(y.as_f64())
+        };
+        let want = run_once();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for rep in 0..100 {
+                        assert_eq!(run_once(), want, "rep {rep}");
+                    }
+                });
+            }
+        });
+        b.check_invariants().unwrap();
+        assert_eq!(Arc::strong_count(&b), 1);
+    }
+
     #[test]
     fn three_variants_compute_identical_spmv_results() {
         let spec = KernelSpec::spmv(ValueKind::F64);

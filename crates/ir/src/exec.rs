@@ -22,7 +22,7 @@
 use crate::budget::{Budget, BudgetMeter};
 use crate::bytecode::{Instr, Program};
 use crate::interp::eval_binary;
-use crate::mem::{BufferData, Buffers, InterpError, MemoryModel, V};
+use crate::mem::{Buffers, InterpError, MemoryModel, Slice, View, V};
 use crate::profile::ExecProfile;
 use crate::types::Type;
 
@@ -152,6 +152,19 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
             other => MemBinding::Bad(other),
         })
         .collect();
+    // And the element storage: every buffer's slice, borrowed for the
+    // run — mutably where the program has a store to it (which copies a
+    // shared buffer now rather than at the first store), so no access
+    // goes back through the arena.
+    let mut written = vec![false; bufs.len()];
+    for instr in &prog.instrs {
+        if let Instr::Store { mem, .. } = instr {
+            if let MemBinding::Buf { id, .. } = mems[*mem as usize] {
+                written[id as usize] = true;
+            }
+        }
+    }
+    let mut views = bufs.views(&written);
 
     let instrs = &prog.instrs[..];
     let mut ip = 0usize;
@@ -227,20 +240,20 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
             Instr::Dim { dst, mem, pc } => {
                 model.retire(1);
                 let (id, _, _) = mems[*mem as usize].resolve().map_err(|e| e.at(*pc))?;
-                slots[*dst as usize] = V::Index(bufs.get(id).data.len());
+                slots[*dst as usize] = V::Index(views[id as usize].as_slice().len());
             }
             Instr::Load { dst, mem, idx, pc } => {
                 let (id, base, eb) = mems[*mem as usize].resolve().map_err(|e| e.at(*pc))?;
                 let i = slots[*idx as usize].as_index().map_err(|e| e.at(*pc))?;
                 model.load(*pc, base + i as u64 * eb as u64, eb);
-                slots[*dst as usize] = load_elem(bufs, id, i).map_err(|e| e.at(*pc))?;
+                slots[*dst as usize] = load_elem(&views, id, i).map_err(|e| e.at(*pc))?;
             }
             Instr::Store { mem, idx, src, pc } => {
                 let (id, base, eb) = mems[*mem as usize].resolve().map_err(|e| e.at(*pc))?;
                 let i = slots[*idx as usize].as_index().map_err(|e| e.at(*pc))?;
                 let v = slots[*src as usize];
                 model.store(*pc, base + i as u64 * eb as u64, eb);
-                bufs.get_mut(id).data.set(i, v).map_err(|e| e.at(*pc))?;
+                views[id as usize].set(i, v).map_err(|e| e.at(*pc))?;
             }
             Instr::Prefetch {
                 mem,
@@ -265,7 +278,7 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                 let (id, base, eb) = mems[*mem as usize].resolve().map_err(|e| e.at(*pc))?;
                 let i = slots[*idx as usize].as_index().map_err(|e| e.at(*pc))?;
                 model.load(*pc, base + i as u64 * eb as u64, eb);
-                let v = load_elem(bufs, id, i).map_err(|e| e.at(*pc))?;
+                let v = load_elem(&views, id, i).map_err(|e| e.at(*pc))?;
                 slots[*dst as usize] = v;
                 model.retire(1);
                 slots[*cast_dst as usize] = cast_value(v, to).map_err(|e| e.at(*cast_pc))?;
@@ -350,7 +363,7 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                     .map_err(|e| e.at(*crd_pc))?;
                 let j = slots[*idx as usize].as_index().map_err(|e| e.at(*crd_pc))?;
                 model.load(*crd_pc, cbase + j as u64 * ceb as u64, ceb);
-                let cv = load_elem(bufs, cid, j).map_err(|e| e.at(*crd_pc))?;
+                let cv = load_elem(&views, cid, j).map_err(|e| e.at(*crd_pc))?;
                 slots[*crd_dst as usize] = cv;
                 model.retire(1);
                 let c = cast_value(cv, to).map_err(|e| e.at(*cast_pc))?;
@@ -411,11 +424,11 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                 let (id, base, eb) = mems[*a_mem as usize].resolve().map_err(|e| e.at(*a_pc))?;
                 let i = slots[*a_idx as usize].as_index().map_err(|e| e.at(*a_pc))?;
                 model.load(*a_pc, base + i as u64 * eb as u64, eb);
-                slots[*a_dst as usize] = load_elem(bufs, id, i).map_err(|e| e.at(*a_pc))?;
+                slots[*a_dst as usize] = load_elem(&views, id, i).map_err(|e| e.at(*a_pc))?;
                 let (id, base, eb) = mems[*b_mem as usize].resolve().map_err(|e| e.at(*b_pc))?;
                 let i = slots[*b_idx as usize].as_index().map_err(|e| e.at(*b_pc))?;
                 model.load(*b_pc, base + i as u64 * eb as u64, eb);
-                slots[*b_dst as usize] = load_elem(bufs, id, i).map_err(|e| e.at(*b_pc))?;
+                slots[*b_dst as usize] = load_elem(&views, id, i).map_err(|e| e.at(*b_pc))?;
                 model.retire_fp(1);
                 let x = slots[*a as usize].as_f64().map_err(|e| e.at(*mul_pc))?;
                 let y = slots[*b as usize].as_f64().map_err(|e| e.at(*mul_pc))?;
@@ -442,7 +455,7 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                     .map_err(|e| e.at(*crd_pc))?;
                 let j = slots[*idx as usize].as_index().map_err(|e| e.at(*crd_pc))?;
                 model.load(*crd_pc, cbase + j as u64 * ceb as u64, ceb);
-                let cv = load_elem(bufs, cid, j).map_err(|e| e.at(*crd_pc))?;
+                let cv = load_elem(&views, cid, j).map_err(|e| e.at(*crd_pc))?;
                 slots[*crd_dst as usize] = cv;
                 // Optional widening cast of the coordinate to `index`.
                 let i = match cast {
@@ -457,7 +470,7 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
                 // Second load: the gathered element.
                 let (id, base, eb) = mems[*mem as usize].resolve().map_err(|e| e.at(*pc))?;
                 model.load(*pc, base + i as u64 * eb as u64, eb);
-                slots[*dst as usize] = load_elem(bufs, id, i).map_err(|e| e.at(*pc))?;
+                slots[*dst as usize] = load_elem(&views, id, i).map_err(|e| e.at(*pc))?;
             }
             Instr::MulAdd {
                 a,
@@ -482,7 +495,8 @@ fn execute_inner<M: MemoryModel + ?Sized, const PROFILE: bool>(
             Instr::SpmvLoop(d) => {
                 // A guard: run the whole loop typed and skip it, or do
                 // nothing and fall into the loop's own instructions.
-                if let Some(exit) = run_spmv_loop(d, &mut slots, &mems, bufs, model, &mut meter)? {
+                if let Some(exit) = run_spmv_loop(d, &mut slots, &mems, &views, model, &mut meter)?
+                {
                     ip = exit as usize;
                 }
             }
@@ -564,14 +578,13 @@ enum IntSlice<'a> {
 }
 
 impl<'a> IntSlice<'a> {
-    fn of(data: &'a BufferData) -> Option<IntSlice<'a>> {
-        use BufferData as B;
+    fn of(data: Slice<'a>) -> Option<IntSlice<'a>> {
         match data {
-            B::I64(v) => Some(IntSlice::I64(v)),
-            B::I32(v) => Some(IntSlice::I32(v)),
-            B::I8(v) => Some(IntSlice::I8(v)),
-            B::Index(v) => Some(IntSlice::Ix(v)),
-            B::F64(_) => None,
+            Slice::I64(v) => Some(IntSlice::I64(v)),
+            Slice::I32(v) => Some(IntSlice::I32(v)),
+            Slice::I8(v) => Some(IntSlice::I8(v)),
+            Slice::Index(v) => Some(IntSlice::Ix(v)),
+            Slice::F64(_) => None,
         }
     }
 
@@ -613,7 +626,7 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
     d: &crate::bytecode::SpmvLoop,
     slots: &mut [V],
     mems: &[MemBinding],
-    bufs: &Buffers,
+    views: &[View<'_>],
     model: &mut M,
     meter: &mut BudgetMeter,
 ) -> Result<Option<u32>, InterpError> {
@@ -639,11 +652,10 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
         let (_, gp_base, gp_eb) = mems[d.gp_mem as usize].resolve().ok()?;
         let (a_id, a_base, a_eb) = mems[d.ds_a_mem as usize].resolve().ok()?;
         let (b_id, b_base, b_eb) = mems[d.ds_b_mem as usize].resolve().ok()?;
-        let crd = IntSlice::of(&bufs.get(lc_id).data)?;
-        let gcrd = IntSlice::of(&bufs.get(gc_id).data)?;
-        let (BufferData::F64(vals), BufferData::F64(dense)) =
-            (&bufs.get(a_id).data, &bufs.get(b_id).data)
-        else {
+        let of = |id: u32| views[id as usize].as_slice();
+        let crd = IntSlice::of(of(lc_id))?;
+        let gcrd = IntSlice::of(of(gc_id))?;
+        let (Slice::F64(vals), Slice::F64(dense)) = (of(a_id), of(b_id)) else {
             return None;
         };
         Some((
@@ -652,8 +664,8 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
             (ap_base, ap_eb),
             (gc_base, gc_eb, gcrd),
             (gp_base, gp_eb),
-            (a_base, a_eb, &vals[..]),
-            (b_base, b_eb, &dense[..]),
+            (a_base, a_eb, vals),
+            (b_base, b_eb, dense),
         ))
     })();
     let Some((
@@ -729,8 +741,8 @@ fn run_spmv_loop<M: MemoryModel + ?Sized>(
 }
 
 #[inline]
-fn load_elem(bufs: &Buffers, id: u32, i: usize) -> Result<V, InterpError> {
-    let data = &bufs.get(id).data;
+fn load_elem(views: &[View<'_>], id: u32, i: usize) -> Result<V, InterpError> {
+    let data = views[id as usize].as_slice();
     data.get(i).ok_or(InterpError::OutOfBounds {
         index: i,
         len: data.len(),
@@ -761,7 +773,7 @@ mod tests {
     use crate::builder::FuncBuilder;
     use crate::bytecode::lower;
     use crate::interp::interpret_budgeted;
-    use crate::mem::{CountingModel, NullModel};
+    use crate::mem::{BufferData, CountingModel, NullModel};
     use crate::trace::TraceModel;
     use crate::verify::verify;
     use crate::Function;
@@ -1179,6 +1191,71 @@ mod tests {
             BufferData::F64(vec![10.0, 20.0, 30.0]),
         );
         assert_equivalent(&f, &args, &bufs);
+    }
+
+    /// The sharing contract: a store into an operand bound with
+    /// `add_shared` copies it first, so the holder of the `Arc` never sees
+    /// the store, and the run — return values, event stream (so every
+    /// address), retire count, final contents — is the owned-buffer run's,
+    /// under both engines.
+    #[test]
+    fn a_store_into_a_shared_operand_copies_it_and_spares_the_owner() {
+        use std::sync::Arc;
+        let mut b = FuncBuilder::new("double_in_place");
+        let x = b.arg(Type::memref(Type::F64));
+        let n = b.arg(Type::Index);
+        let c0 = b.const_index(0);
+        let c1 = b.const_index(1);
+        b.for_loop(c0, n, c1, &[], |b, i, _| {
+            let v = b.load(x, i);
+            let d = b.addf(v, v);
+            b.store(d, x, i);
+            vec![]
+        });
+        let f = b.finish();
+        verify(&f).expect("verifies");
+        let prog = lower(&f).expect("lowers");
+
+        let before = vec![1.5, -0.0, f64::from_bits(0x7ff8_0000_0000_1234)];
+        let bits = |d: &BufferData| match d {
+            BufferData::F64(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            other => panic!("{other:?}"),
+        };
+        let owner = Arc::new(BufferData::F64(before.clone()));
+        let mut shared = Buffers::new();
+        let id = shared.add_shared(Arc::clone(&owner));
+        let mut owned = Buffers::new();
+        assert_eq!(owned.add(BufferData::F64(before.clone())), id);
+        assert_eq!(shared.get(id).base_addr, owned.get(id).base_addr);
+        assert_eq!(shared.bytes_allocated(), owned.bytes_allocated());
+        let args = [V::Mem(id), V::Index(before.len())];
+
+        type Run<'a> = &'a dyn Fn(&mut Buffers, &mut TraceModel) -> Result<Vec<V>, InterpError>;
+        let tree: Run = &|bufs, m| interpret_budgeted(&f, &args, bufs, m, &Budget::unlimited());
+        let vm: Run = &|bufs, m| execute_budgeted(&prog, &args, bufs, m, &Budget::unlimited());
+        for (engine, run) in [("tree-walk", tree), ("bytecode", vm)] {
+            let (mut s, mut o) = (shared.clone(), owned.clone());
+            let (mut ts, mut to) = (TraceModel::new(), TraceModel::new());
+            assert_eq!(run(&mut s, &mut ts), run(&mut o, &mut to), "{engine}");
+            assert_eq!(ts.events, to.events, "{engine}: events");
+            assert_eq!(ts.instructions, to.instructions, "{engine}: retired");
+            assert_eq!(
+                bits(s.get(id).data),
+                bits(o.get(id).data),
+                "{engine}: result"
+            );
+            assert!(!s.is_shared(id), "{engine}: the store unshared the buffer");
+            assert_ne!(
+                bits(s.get(id).data),
+                bits(&owner),
+                "{engine}: something was stored"
+            );
+        }
+        assert_eq!(bits(&owner), bits(&BufferData::F64(before)));
+        assert!(
+            shared.is_shared(id),
+            "the arena the runs were cloned from still shares"
+        );
     }
 
     #[test]

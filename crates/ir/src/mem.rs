@@ -4,10 +4,19 @@
 //! Functional correctness comes from running the IR against [`Buffers`];
 //! timing comes from attaching the `asap-sim` machine model as the
 //! [`MemoryModel`]. A [`NullModel`] is provided for pure functional runs.
+//!
+//! A buffer's payload is owned by the arena ([`Buffers::add`]) or shared
+//! with whoever else holds its `Arc` ([`Buffers::add_shared`] — a sparse
+//! tensor's arrays, bound into every run without a copy). Reads go
+//! through the same accessor either way; the first mutable access to a
+//! shared buffer copies it, so a store is never seen outside the arena.
+//! Addresses, sizes and [`Buffers::bytes_allocated`] depend on the
+//! payload alone, not on who holds it.
 
 use crate::budget::BudgetError;
 use crate::ops::OpId;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,13 +96,7 @@ pub enum BufferData {
 impl BufferData {
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            BufferData::F64(v) => v.len(),
-            BufferData::I64(v) => v.len(),
-            BufferData::I32(v) => v.len(),
-            BufferData::I8(v) => v.len(),
-            BufferData::Index(v) => v.len(),
-        }
+        self.as_slice().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -112,74 +115,213 @@ impl BufferData {
 
     /// The IR element type of this buffer.
     pub fn elem_type(&self) -> Type {
+        self.as_slice().elem_type()
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<V> {
+        self.as_slice().get(i)
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, val: V) -> Result<(), InterpError> {
+        self.as_slice_mut().set(i, val)
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> Slice<'_> {
         match self {
-            BufferData::F64(_) => Type::F64,
-            BufferData::I64(_) => Type::I64,
-            BufferData::I32(_) => Type::I32,
-            BufferData::I8(_) => Type::I8,
-            BufferData::Index(_) => Type::Index,
+            BufferData::F64(v) => Slice::F64(v),
+            BufferData::I64(v) => Slice::I64(v),
+            BufferData::I32(v) => Slice::I32(v),
+            BufferData::I8(v) => Slice::I8(v),
+            BufferData::Index(v) => Slice::Index(v),
+        }
+    }
+
+    #[inline]
+    fn as_slice_mut(&mut self) -> SliceMut<'_> {
+        match self {
+            BufferData::F64(v) => SliceMut::F64(v),
+            BufferData::I64(v) => SliceMut::I64(v),
+            BufferData::I32(v) => SliceMut::I32(v),
+            BufferData::I8(v) => SliceMut::I8(v),
+            BufferData::Index(v) => SliceMut::Index(v),
+        }
+    }
+}
+
+/// The elements of a buffer, borrowed: what an access needs once the
+/// buffer is known, with no arena or `Arc` left to go through.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slice<'a> {
+    F64(&'a [f64]),
+    I64(&'a [i64]),
+    I32(&'a [i32]),
+    I8(&'a [i8]),
+    Index(&'a [usize]),
+}
+
+impl Slice<'_> {
+    fn elem_type(&self) -> Type {
+        match self {
+            Slice::F64(_) => Type::F64,
+            Slice::I64(_) => Type::I64,
+            Slice::I32(_) => Type::I32,
+            Slice::I8(_) => Type::I8,
+            Slice::Index(_) => Type::Index,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Slice::F64(v) => v.len(),
+            Slice::I64(v) => v.len(),
+            Slice::I32(v) => v.len(),
+            Slice::I8(v) => v.len(),
+            Slice::Index(v) => v.len(),
         }
     }
 
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Option<V> {
         match self {
-            BufferData::F64(v) => v.get(i).map(|&x| V::F64(x)),
-            BufferData::I64(v) => v.get(i).map(|&x| V::I64(x)),
-            BufferData::I32(v) => v.get(i).map(|&x| V::I32(x)),
-            BufferData::I8(v) => v.get(i).map(|&x| V::I8(x)),
-            BufferData::Index(v) => v.get(i).map(|&x| V::Index(x)),
+            Slice::F64(v) => v.get(i).map(|&x| V::F64(x)),
+            Slice::I64(v) => v.get(i).map(|&x| V::I64(x)),
+            Slice::I32(v) => v.get(i).map(|&x| V::I32(x)),
+            Slice::I8(v) => v.get(i).map(|&x| V::I8(x)),
+            Slice::Index(v) => v.get(i).map(|&x| V::Index(x)),
+        }
+    }
+}
+
+/// [`Slice`], writable.
+#[derive(Debug)]
+pub(crate) enum SliceMut<'a> {
+    F64(&'a mut [f64]),
+    I64(&'a mut [i64]),
+    I32(&'a mut [i32]),
+    I8(&'a mut [i8]),
+    Index(&'a mut [usize]),
+}
+
+impl SliceMut<'_> {
+    #[inline]
+    fn as_slice(&self) -> Slice<'_> {
+        match self {
+            SliceMut::F64(v) => Slice::F64(v),
+            SliceMut::I64(v) => Slice::I64(v),
+            SliceMut::I32(v) => Slice::I32(v),
+            SliceMut::I8(v) => Slice::I8(v),
+            SliceMut::Index(v) => Slice::Index(v),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, val: V) -> Result<(), InterpError> {
+        let len = self.as_slice().len();
+        let slot = match (&mut *self, val) {
+            (SliceMut::F64(v), V::F64(x)) => v.get_mut(i).map(|e| *e = x),
+            (SliceMut::I64(v), V::I64(x)) => v.get_mut(i).map(|e| *e = x),
+            (SliceMut::I32(v), V::I32(x)) => v.get_mut(i).map(|e| *e = x),
+            (SliceMut::I8(v), V::I8(x)) => v.get_mut(i).map(|e| *e = x),
+            (SliceMut::Index(v), V::Index(x)) => v.get_mut(i).map(|e| *e = x),
+            (b, v) => {
+                return Err(InterpError::TypeMismatch(format!(
+                    "store of {v:?} into {} buffer",
+                    b.as_slice().elem_type()
+                )))
+            }
+        };
+        slot.ok_or(InterpError::OutOfBounds { index: i, len })
+    }
+}
+
+/// One buffer as a VM run holds it (see [`Buffers::views`]).
+#[derive(Debug)]
+pub(crate) enum View<'a> {
+    /// The program has no store to it.
+    Ro(Slice<'a>),
+    Rw(SliceMut<'a>),
+}
+
+impl View<'_> {
+    #[inline]
+    pub(crate) fn as_slice(&self) -> Slice<'_> {
+        match self {
+            View::Ro(s) => *s,
+            View::Rw(s) => s.as_slice(),
         }
     }
 
     #[inline]
     pub(crate) fn set(&mut self, i: usize, val: V) -> Result<(), InterpError> {
-        let oob = |len: usize| InterpError::OutOfBounds { index: i, len };
-        match (self, val) {
-            (BufferData::F64(v), V::F64(x)) => {
-                let len = v.len();
-                *v.get_mut(i).ok_or(oob(len))? = x;
-            }
-            (BufferData::I64(v), V::I64(x)) => {
-                let len = v.len();
-                *v.get_mut(i).ok_or(oob(len))? = x;
-            }
-            (BufferData::I32(v), V::I32(x)) => {
-                let len = v.len();
-                *v.get_mut(i).ok_or(oob(len))? = x;
-            }
-            (BufferData::I8(v), V::I8(x)) => {
-                let len = v.len();
-                *v.get_mut(i).ok_or(oob(len))? = x;
-            }
-            (BufferData::Index(v), V::Index(x)) => {
-                let len = v.len();
-                *v.get_mut(i).ok_or(oob(len))? = x;
-            }
-            (b, v) => {
-                return Err(InterpError::TypeMismatch(format!(
-                    "store of {v:?} into {} buffer",
-                    b.elem_type()
-                )))
-            }
+        match self {
+            View::Rw(s) => s.set(i, val),
+            // invariant: `Buffers::views` is told every buffer the
+            // program has a store instruction for.
+            View::Ro(_) => Err(InterpError::TypeMismatch(
+                "store into a buffer bound read-only".into(),
+            )),
         }
-        Ok(())
     }
 }
 
-/// One buffer with its assigned virtual base address.
-#[derive(Debug, Clone)]
-pub struct Buffer {
-    pub data: BufferData,
+/// One buffer with its assigned virtual base address. The arena owns
+/// `Buffer` (what [`Buffers::get_mut`] lends); [`Buffers::get`] lends
+/// the same two fields as `Buffer<&BufferData>`, whoever holds the
+/// payload.
+#[derive(Debug, Clone, Copy)]
+pub struct Buffer<D = BufferData> {
+    pub data: D,
     pub base_addr: u64,
+}
+
+/// Who holds a buffer's payload: the arena, or an `Arc` the caller keeps
+/// a handle to (a sparse tensor's arrays, bound into every request
+/// without a copy).
+#[derive(Debug, Clone)]
+enum Slot {
+    Owned(Buffer),
+    Shared(Buffer<Arc<BufferData>>),
+}
+
+impl Slot {
+    #[inline]
+    fn data(&self) -> &BufferData {
+        match self {
+            Slot::Owned(b) => &b.data,
+            Slot::Shared(b) => &b.data,
+        }
+    }
+
+    /// The buffer, owned: a shared one is replaced by a private copy
+    /// first (once — it is owned from then on).
+    #[inline]
+    fn owned(&mut self) -> &mut Buffer {
+        if let Slot::Shared(b) = self {
+            *self = Slot::Owned(Buffer {
+                data: BufferData::clone(&b.data),
+                base_addr: b.base_addr,
+            });
+        }
+        match self {
+            Slot::Owned(b) => b,
+            // invariant: the branch above has just made the slot owned.
+            Slot::Shared(_) => unreachable!("slot was unshared above"),
+        }
+    }
 }
 
 /// The buffer arena. Buffers get virtual base addresses from a bump
 /// allocator with page alignment and a guard gap, so hardware-prefetcher
-/// models see distinct, realistic address streams per buffer.
+/// models see distinct, realistic address streams per buffer. A buffer's
+/// address, size and contents do not depend on whether it was added
+/// owned or shared.
 #[derive(Debug, Clone, Default)]
 pub struct Buffers {
-    bufs: Vec<Buffer>,
+    bufs: Vec<Slot>,
     next_addr: u64,
 }
 
@@ -200,27 +342,74 @@ impl Buffers {
 
     /// Add a buffer, returning its id (to be passed as a `V::Mem` argument).
     pub fn add(&mut self, data: BufferData) -> u32 {
-        let id = self.bufs.len() as u32;
+        let base_addr = self.place(&data);
+        self.push(Slot::Owned(Buffer { data, base_addr }))
+    }
+
+    /// As [`Buffers::add`] without taking the payload over: the arena
+    /// reads it through the `Arc`, and the first [`Buffers::get_mut`] of
+    /// the buffer replaces it with a private copy, so the other holders
+    /// never see a store.
+    pub fn add_shared(&mut self, data: Arc<BufferData>) -> u32 {
+        let base_addr = self.place(&data);
+        self.push(Slot::Shared(Buffer { data, base_addr }))
+    }
+
+    /// Bump-allocate the address range of the next buffer.
+    fn place(&mut self, data: &BufferData) -> u64 {
         let size = data.len() as u64 * data.elem_bytes() as u64;
         let base = self.next_addr;
         self.next_addr = (base + size + GUARD_GAP).div_ceil(BUF_ALIGN) * BUF_ALIGN;
-        self.bufs.push(Buffer {
-            data,
-            base_addr: base,
-        });
-        id
+        base
+    }
+
+    fn push(&mut self, slot: Slot) -> u32 {
+        self.bufs.push(slot);
+        self.bufs.len() as u32 - 1
     }
 
     // invariant: ids come from `add`, and `interpret` rejects dangling
     // `V::Mem` arguments before execution starts, so the index is in range.
     #[inline]
-    pub fn get(&self, id: u32) -> &Buffer {
-        &self.bufs[id as usize]
+    pub fn get(&self, id: u32) -> Buffer<&BufferData> {
+        let slot = &self.bufs[id as usize];
+        let base_addr = match slot {
+            Slot::Owned(b) => b.base_addr,
+            Slot::Shared(b) => b.base_addr,
+        };
+        Buffer {
+            data: slot.data(),
+            base_addr,
+        }
     }
 
+    /// Mutable access, for stores. A shared buffer is copied first (once:
+    /// it is owned from then on).
     #[inline]
     pub fn get_mut(&mut self, id: u32) -> &mut Buffer {
-        &mut self.bufs[id as usize]
+        self.bufs[id as usize].owned()
+    }
+
+    /// Borrow every buffer at once for a VM run, element slices resolved
+    /// — an access is then the same indexed load whether the buffer is
+    /// shared or owned. Buffer `id` is borrowed mutably when
+    /// `written[id]` (a shared one copied first, as by
+    /// [`Buffers::get_mut`]), else read-only.
+    pub(crate) fn views(&mut self, written: &[bool]) -> Vec<View<'_>> {
+        debug_assert_eq!(written.len(), self.bufs.len());
+        self.bufs
+            .iter_mut()
+            .zip(written)
+            .map(|(slot, &w)| match w {
+                true => View::Rw(slot.owned().data.as_slice_mut()),
+                false => View::Ro(slot.data().as_slice()),
+            })
+            .collect()
+    }
+
+    /// Whether a store into the buffer would have to copy it first.
+    pub(crate) fn is_shared(&self, id: u32) -> bool {
+        matches!(self.bufs[id as usize], Slot::Shared(_))
     }
 
     pub fn len(&self) -> usize {
@@ -236,7 +425,7 @@ impl Buffers {
     pub fn bytes_allocated(&self) -> u64 {
         self.bufs
             .iter()
-            .map(|b| b.data.len() as u64 * b.data.elem_bytes() as u64)
+            .map(|slot| slot.data().len() as u64 * slot.data().elem_bytes() as u64)
             .sum()
     }
 }

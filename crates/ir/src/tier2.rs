@@ -849,6 +849,10 @@ fn run_spmv(
         ));
     }
     // Take the output out of the arena (restored below, on every path).
+    debug_assert!(
+        !bufs.is_shared(y_id),
+        "the output is bound owned: nothing to copy"
+    );
     let taken = std::mem::replace(&mut bufs.get_mut(y_id).data, BufferData::F64(Vec::new()));
     let BufferData::F64(mut y) = taken else {
         let t = taken.elem_type();
@@ -994,6 +998,10 @@ fn run_spmm(
             "tier-2 output buffer aliases an input".into(),
         ));
     }
+    debug_assert!(
+        !bufs.is_shared(out_id),
+        "the output is bound owned: nothing to copy"
+    );
     let taken = std::mem::replace(&mut bufs.get_mut(out_id).data, BufferData::F64(Vec::new()));
     let BufferData::F64(mut out) = taken else {
         let t = taken.elem_type();

@@ -10,7 +10,10 @@
 //!    configured ceiling. Admission is governed by an
 //!    [`asap_ir::Budget`] with a byte limit: an entry larger than one
 //!    shard's share is a typed [`StoreError::Oversized`] (HTTP 413),
-//!    never an allocation attempt.
+//!    never an allocation attempt. The bytes counted are
+//!    [`SparseTensor::footprint_bytes`], which is what the tensor's
+//!    arrays occupy on the heap (they are stored at index width), so
+//!    the ceiling bounds resident memory, not a nominal size.
 //! 2. **Tenant quotas.** Every resident byte is charged to the
 //!    inserting tenant ([`TenantState::try_charge_bytes`]); over-quota
 //!    inserts are [`StoreError::TenantQuota`] (HTTP 429). Eviction
@@ -359,6 +362,9 @@ impl MatrixStore {
         self.shard_ceiling * self.shards.len() as u64
     }
 
+    /// `serve.store.bytes` is resident heap bytes: the sum of
+    /// `footprint_bytes()` over the entries, each the `len · elem_bytes`
+    /// of its arrays (DESIGN.md §14.2).
     fn publish_gauges(&self) {
         asap_obs::gauge_set("serve.store.bytes", self.bytes() as i64);
         asap_obs::gauge_set("serve.store.entries", self.entries() as i64);

@@ -5,6 +5,11 @@
 //! them to the kernel's calling convention, and interprets the IR with a
 //! caller-supplied [`MemoryModel`] (a [`asap_ir::NullModel`] for pure
 //! functional runs, the `asap-sim` machine for timed runs).
+//!
+//! [`bind`] costs O(levels) plus the dense operands: the sparse tensor's
+//! arrays are shared with the arena as stored (no conversion, no copy),
+//! the dense inputs and the output are copied in, so a run may write
+//! its output without touching the caller's tensors.
 
 use crate::codegen::{KernelArg, SparsifiedKernel};
 use crate::spec::KernelSpec;
@@ -55,7 +60,9 @@ pub fn resolve_dims(
         .collect()
 }
 
-/// Buffers and argument values ready for interpretation.
+/// Buffers and argument values ready for interpretation. `bufs` holds the
+/// sparse operand's arrays shared with the tensor they came from and the
+/// dense operands owned.
 pub struct BoundKernel {
     pub bufs: Buffers,
     pub args: Vec<V>,
@@ -63,8 +70,10 @@ pub struct BoundKernel {
     pub out_buf: u32,
 }
 
-/// Install all operands and produce the interpreter argument vector
-/// matching the kernel's calling convention.
+/// Install all operands — sparse arrays first, then the dense inputs,
+/// then the output: the order fixes every buffer's simulated address —
+/// and produce the interpreter argument vector matching the kernel's
+/// calling convention.
 pub fn bind(
     kernel: &SparsifiedKernel,
     sparse: &SparseTensor,
@@ -215,9 +224,8 @@ pub fn densify(sparse: &SparseTensor) -> Values {
         ValueKind::F64 => Values::F64(sparse.to_dense_f64()),
         ValueKind::I8 => {
             let mut out = vec![0i8; size];
-            let vals = match sparse.values() {
-                Values::I8(v) => v.clone(),
-                _ => unreachable!(),
+            let asap_ir::BufferData::I8(vals) = sparse.values() else {
+                unreachable!("value_kind() is I8")
             };
             sparse.for_each_entry(|c, vi| {
                 let mut idx = 0;

@@ -20,4 +20,4 @@ pub use level::LevelType;
 pub use storage::{
     read_f64, read_i8, CooTensor, DenseTensor, LevelStorage, SparseTensor, TensorBuffers,
 };
-pub use values::{IndexWidth, ValueKind, Values};
+pub use values::{IndexArray, IndexWidth, ValueKind, Values};

@@ -1,12 +1,20 @@
 //! Sparse tensor storage: construction of coordinate hierarchy trees and
 //! their serialization into segmented `pos`/`crd`/`values` buffers (paper
 //! Sections 2.2–2.3).
+//!
+//! Every array of a [`SparseTensor`] has one home: the assembly pass of
+//! [`SparseTensor::try_from_coo`] builds it at the tensor's index width,
+//! in the element type the engines read, and puts it behind an `Arc`.
+//! [`SparseTensor::install`] shares those arrays with an arena — O(levels)
+//! reference-count increments, no per-bind conversion or copy — and
+//! [`SparseTensor::footprint_bytes`] is the bytes they hold.
 
 use crate::format::Format;
 use crate::level::LevelType;
-use crate::values::{IndexWidth, ValueKind, Values};
+use crate::values::{IndexArray, IndexElem, IndexWidth, ValueKind, Values};
 use asap_ir::{AsapError, BufferData, Buffers};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A tensor in coordinate form: the universal input representation.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +96,7 @@ fn check_in_bounds(i: usize, coord: &[usize], dims: &[usize]) -> Result<(), Asap
 /// `parents` segments — the one buffer that can scale with an extent
 /// instead of with nnz, so a refused allocation is a typed error, not an
 /// abort.
-fn reserve_pos(pos: &mut Vec<usize>, parents: usize, l: usize) -> Result<(), AsapError> {
+fn reserve_pos<T>(pos: &mut Vec<T>, parents: usize, l: usize) -> Result<(), AsapError> {
     let reserved = parents
         .checked_add(1)
         .is_some_and(|len| pos.try_reserve(len.saturating_sub(pos.len())).is_ok());
@@ -103,9 +111,14 @@ fn reserve_pos(pos: &mut Vec<usize>, parents: usize, l: usize) -> Result<(), Asa
 
 /// Extend `pos` up to the start of segment `upto`; every segment this
 /// skips is empty at `at`, the current end of the level's `crd`.
-fn close_segments(pos: &mut Vec<usize>, upto: usize, at: usize, l: usize) -> Result<(), AsapError> {
+fn close_segments<T: IndexElem>(
+    pos: &mut Vec<T>,
+    upto: usize,
+    at: usize,
+    l: usize,
+) -> Result<(), AsapError> {
     reserve_pos(pos, upto, l)?;
-    pos.resize(upto + 1, at);
+    pos.resize(upto + 1, T::from_usize(at));
     Ok(())
 }
 
@@ -181,24 +194,32 @@ fn level_order(coo: &CooTensor, lvl_dim: &[usize]) -> Result<Option<Vec<usize>>,
     Ok(Some(order))
 }
 
-/// Per-level serialized buffers.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Per-level serialized buffers, both at the tensor's index width.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelStorage {
     /// Position buffer (`pos`): segment boundaries, one segment per parent
     /// node; present iff the level type has one. Length = parents + 1.
-    pub pos: Vec<usize>,
+    pub pos: IndexArray,
     /// Coordinate buffer (`crd`): one entry per node; present iff the
     /// level type has one.
-    pub crd: Vec<usize>,
+    pub crd: IndexArray,
 }
 
-/// A sparse tensor stored in a given [`Format`].
+/// A level's buffers while assembly appends to them.
+struct LevelVecs<T> {
+    pos: Vec<T>,
+    crd: Vec<T>,
+}
+
+/// A sparse tensor stored in a given [`Format`]. Cloning shares the
+/// arrays.
 #[derive(Debug, Clone)]
 pub struct SparseTensor {
     format: Format,
     dims: Vec<usize>,
     levels: Vec<LevelStorage>,
-    values: Values,
+    /// `BufferData::F64` or `BufferData::I8`.
+    values: Arc<BufferData>,
     index_width: IndexWidth,
 }
 
@@ -233,8 +254,9 @@ impl SparseTensor {
     /// or a `pos` buffer cannot be allocated.
     ///
     /// Two linear steps (DESIGN.md §3.6): [`level_order`] finds the stable
-    /// level-lexicographic permutation, then the entries are streamed in
-    /// that order straight into each level's `pos`/`crd`.
+    /// level-lexicographic permutation, then `assemble` streams the
+    /// entries in that order straight into each level's `pos`/`crd`, at
+    /// the index width they are stored and bound at.
     pub fn try_from_coo(coo: &CooTensor, format: Format) -> Result<SparseTensor, AsapError> {
         if coo.rank() != format.rank() {
             return Err(AsapError::storage(format!(
@@ -253,17 +275,49 @@ impl SparseTensor {
         if coo.coords.len() != nnz * rank {
             return Err(coords_values_mismatch(coo.coords.len(), nnz, rank));
         }
-        let types = format.levels();
         let lvl_dim: Vec<usize> = (0..rank).map(|l| format.dim_of_level(l)).collect();
-        let extent: Vec<usize> = lvl_dim.iter().map(|&d| coo.dims[d]).collect();
-
         let order = level_order(coo, &lvl_dim)?;
-        let entry = |k: usize| order.as_ref().map_or(k, |o| o[k]);
+
+        // Duplicates only lower the entry count, so a width that holds the
+        // input's holds everything assembly stores.
+        let max_dim = coo.dims.iter().copied().max().unwrap_or(0);
+        let built_at = IndexWidth::choose(nnz, max_dim);
+        let (levels, values) = match built_at {
+            IndexWidth::U32 => Self::assemble::<i32>(coo, &format, &lvl_dim, order.as_deref())?,
+            IndexWidth::U64 => Self::assemble::<usize>(coo, &format, &lvl_dim, order.as_deref())?,
+        };
+        let index_width = IndexWidth::choose(values.len(), max_dim);
+        let mut t = SparseTensor {
+            format,
+            dims: coo.dims.clone(),
+            levels,
+            values: Arc::new(values.into_buffer_data()),
+            index_width: built_at,
+        };
+        // More than 2^32 entries that merge into fewer: the one case where
+        // the stored count picks a narrower width than the input's did.
+        t.set_index_width(index_width);
+        Ok(t)
+    }
+
+    /// Step 2 of [`SparseTensor::try_from_coo`]: stream `coo`'s entries in
+    /// `order` (input order when `None`) into every level's `pos`/`crd`, as
+    /// index elements of type `T`, and merge duplicates into the values.
+    fn assemble<T: IndexElem>(
+        coo: &CooTensor,
+        format: &Format,
+        lvl_dim: &[usize],
+        order: Option<&[usize]>,
+    ) -> Result<(Vec<LevelStorage>, Values), AsapError> {
+        let (rank, nnz) = (coo.rank(), coo.nnz());
+        let types = format.levels();
+        let extent: Vec<usize> = lvl_dim.iter().map(|&d| coo.dims[d]).collect();
+        let entry = |k: usize| order.map_or(k, |o| o[k]);
 
         // Below a non-unique or singleton level every entry has a parent
         // node of its own.
         let mut own_parent = vec![false; rank];
-        let mut levels = vec![LevelStorage::default(); rank];
+        let mut levels: Vec<LevelVecs<T>> = Vec::with_capacity(rank);
         // Node count of the level above, while every ancestor is dense.
         let mut dense_parents = Some(1usize);
         for l in 0..rank {
@@ -273,7 +327,10 @@ impl SparseTensor {
                         types[l - 1],
                         LevelType::Singleton | LevelType::Compressed { unique: false, .. }
                     ));
-            let st = &mut levels[l];
+            let mut st = LevelVecs {
+                pos: Vec::new(),
+                crd: Vec::new(),
+            };
             if types[l].has_crd() {
                 // At most one node per entry; what duplicates and shared
                 // prefixes leave over is never touched.
@@ -289,10 +346,11 @@ impl SparseTensor {
                     if let Some(parents) = dense_parents.take() {
                         reserve_pos(&mut st.pos, parents, l)?;
                     }
-                    st.pos.push(0);
+                    st.pos.push(T::from_usize(0));
                 }
                 LevelType::Singleton => dense_parents = None,
             }
+            levels.push(st);
         }
 
         // Stream the entries in level order, appending to every level.
@@ -342,7 +400,7 @@ impl SparseTensor {
                             if st.pos.len() <= parent {
                                 close_segments(&mut st.pos, parent, st.crd.len(), l)?;
                             }
-                            st.crd.push(x);
+                            st.crd.push(T::from_usize(x));
                         }
                         st.crd.len() - 1
                     }
@@ -356,7 +414,7 @@ impl SparseTensor {
                             }
                             run[l] = 1;
                             next_parent[l] = parent + 1;
-                            st.crd.push(x);
+                            st.crd.push(T::from_usize(x));
                         } else {
                             run[l] += 1;
                         }
@@ -396,16 +454,14 @@ impl SparseTensor {
                 "level {l}: singleton level requires exactly one entry per parent, got {got}"
             )));
         }
-        let n = values.len();
-
-        let max_dim = coo.dims.iter().copied().max().unwrap_or(0);
-        Ok(SparseTensor {
-            format,
-            dims: coo.dims.clone(),
-            levels,
-            values,
-            index_width: IndexWidth::choose(n, max_dim),
-        })
+        let levels = levels
+            .into_iter()
+            .map(|st| LevelStorage {
+                pos: IndexArray::from_vec(st.pos),
+                crd: IndexArray::from_vec(st.crd),
+            })
+            .collect();
+        Ok((levels, values))
     }
 
     pub fn format(&self) -> &Format {
@@ -425,34 +481,58 @@ impl SparseTensor {
         self.values.len()
     }
 
-    pub fn values(&self) -> &Values {
+    /// The stored values, as the engines read them: `BufferData::F64` or
+    /// `BufferData::I8`.
+    pub fn values(&self) -> &BufferData {
         &self.values
     }
 
     pub fn value_kind(&self) -> ValueKind {
-        self.values.kind()
+        // invariant: assembly stores `Values`, which has these two kinds.
+        match &*self.values {
+            BufferData::I8(_) => ValueKind::I8,
+            _ => ValueKind::F64,
+        }
     }
 
     pub fn level(&self, l: usize) -> &LevelStorage {
         &self.levels[l]
     }
 
-    /// Mutable access to a level's raw `pos`/`crd` buffers. This exists
-    /// for external deserializers and adversarial tests that need to
-    /// build storages [`check_invariants`](SparseTensor::check_invariants)
-    /// should *reject*; anything that mutates through it must re-validate
-    /// before handing the tensor to the sparsifier.
-    pub fn level_mut(&mut self, l: usize) -> &mut LevelStorage {
-        &mut self.levels[l]
+    /// Rewrite a level's raw buffers: `edit` gets `pos` and `crd` widened
+    /// to `usize` lists and what it leaves is stored back at the tensor's
+    /// index width. This exists for external deserializers and
+    /// adversarial tests that need to build storages
+    /// [`check_invariants`](SparseTensor::check_invariants) should
+    /// *reject*; anything that mutates through it must re-validate before
+    /// handing the tensor to the sparsifier.
+    pub fn edit_level<R>(
+        &mut self,
+        l: usize,
+        edit: impl FnOnce(&mut Vec<usize>, &mut Vec<usize>) -> R,
+    ) -> R {
+        let st = &mut self.levels[l];
+        let (mut pos, mut crd) = (st.pos.to_vec(), st.crd.to_vec());
+        let r = edit(&mut pos, &mut crd);
+        st.pos = IndexArray::at_width(self.index_width, &pos);
+        st.crd = IndexArray::at_width(self.index_width, &crd);
+        r
     }
 
     pub fn index_width(&self) -> IndexWidth {
         self.index_width
     }
 
-    /// Override the index width (tests exercise both).
+    /// Override the index width (tests and fuzzers exercise both): every
+    /// `pos`/`crd` array is re-stored at `w`.
     pub fn set_index_width(&mut self, w: IndexWidth) {
+        if w == self.index_width {
+            return;
+        }
         self.index_width = w;
+        for l in 0..self.levels.len() {
+            self.edit_level(l, |_, _| {});
+        }
     }
 
     /// Number of nodes at level `l` (root = level "-1" has 1 node).
@@ -468,23 +548,35 @@ impl SparseTensor {
         }
     }
 
-    /// Total bytes of the serialized representation (pos + crd + values),
-    /// the "memory footprint" used for benchmark matrix selection.
+    /// Total bytes of the serialized representation (pos + crd + values):
+    /// the bytes the tensor's arrays hold, which are the bytes
+    /// [`install`](SparseTensor::install) binds. The "memory footprint"
+    /// used for benchmark matrix selection and by the serving store's
+    /// byte ceiling.
     pub fn footprint_bytes(&self) -> usize {
-        let iw = self.index_width.byte_width();
-        let mut total = self.values.len() * self.values.kind().byte_width();
-        for st in &self.levels {
-            total += (st.pos.len() + st.crd.len()) * iw;
-        }
-        total
+        let values = self.values.len() * self.values.elem_bytes() as usize;
+        let indices = self
+            .levels
+            .iter()
+            .map(|st| st.pos.byte_len() + st.crd.byte_len());
+        values + indices.sum::<usize>()
     }
 
     /// Check the structural invariants of the segmented storage that both
     /// sparsification and ASaP's bound computation rely on.
     pub fn check_invariants(&self) -> Result<(), AsapError> {
+        match self.index_width {
+            IndexWidth::U32 => self.check_invariants_at::<i32>(),
+            IndexWidth::U64 => self.check_invariants_at::<usize>(),
+        }
+    }
+
+    fn check_invariants_at<T: IndexElem>(&self) -> Result<(), AsapError> {
         let mut parent = 1usize;
         for (l, st) in self.levels.iter().enumerate() {
             let lt = self.format.levels()[l];
+            let (pos, crd): (&[T], &[T]) = (st.pos.as_slice(), st.crd.as_slice());
+            let in_range = |c: &T| c.to_usize() < self.level_dim(l);
             match lt {
                 LevelType::Dense => {
                     if !st.pos.is_empty() || !st.crd.is_empty() {
@@ -502,20 +594,21 @@ impl SparseTensor {
                             parent + 1
                         )));
                     }
-                    if st.pos[0] != 0 || *st.pos.last().expect("non-empty") != st.crd.len() {
+                    let ends = pos.first().zip(pos.last());
+                    if ends.is_none_or(|(a, z)| a.to_usize() != 0 || z.to_usize() != crd.len()) {
                         return Err(AsapError::storage(format!(
                             "level {l}: pos endpoints wrong"
                         )));
                     }
-                    if st.pos.windows(2).any(|w| w[0] > w[1]) {
+                    if pos.windows(2).any(|w| w[0].to_usize() > w[1].to_usize()) {
                         return Err(AsapError::storage(format!("level {l}: pos not monotone")));
                     }
-                    for w in st.pos.windows(2) {
-                        let seg = &st.crd[w[0]..w[1]];
+                    for w in pos.windows(2) {
+                        let seg = &crd[w[0].to_usize()..w[1].to_usize()];
                         let ok = if unique {
-                            seg.windows(2).all(|s| s[0] < s[1])
+                            seg.windows(2).all(|s| s[0].to_usize() < s[1].to_usize())
                         } else {
-                            seg.windows(2).all(|s| s[0] <= s[1])
+                            seg.windows(2).all(|s| s[0].to_usize() <= s[1].to_usize())
                         };
                         if !ok {
                             return Err(AsapError::storage(format!(
@@ -523,7 +616,7 @@ impl SparseTensor {
                             )));
                         }
                     }
-                    if st.crd.iter().any(|&c| c >= self.level_dim(l)) {
+                    if !crd.iter().all(in_range) {
                         return Err(AsapError::storage(format!(
                             "level {l}: coordinate out of range"
                         )));
@@ -541,7 +634,7 @@ impl SparseTensor {
                             parent
                         )));
                     }
-                    if st.crd.iter().any(|&c| c >= self.level_dim(l)) {
+                    if !crd.iter().all(in_range) {
                         return Err(AsapError::storage(format!(
                             "level {l}: coordinate out of range"
                         )));
@@ -564,10 +657,13 @@ impl SparseTensor {
     pub fn for_each_entry(&self, mut f: impl FnMut(&[usize], usize)) {
         let rank = self.format.rank();
         let mut coords = vec![0usize; rank];
-        self.walk_level(0, 0..1, &mut coords, &mut f);
+        match self.index_width {
+            IndexWidth::U32 => self.walk_level::<i32>(0, 0..1, &mut coords, &mut f),
+            IndexWidth::U64 => self.walk_level::<usize>(0, 0..1, &mut coords, &mut f),
+        }
     }
 
-    fn walk_level(
+    fn walk_level<T: IndexElem>(
         &self,
         l: usize,
         nodes: Range<usize>,
@@ -586,33 +682,34 @@ impl SparseTensor {
                         if l + 1 == rank {
                             f(coords, child);
                         } else {
-                            self.walk_level(l + 1, child..child + 1, coords, f);
+                            self.walk_level::<T>(l + 1, child..child + 1, coords, f);
                         }
                     }
                 }
             }
             LevelType::Compressed { .. } => {
                 let st = &self.levels[l];
+                let (pos, crd): (&[T], &[T]) = (st.pos.as_slice(), st.crd.as_slice());
                 for node in nodes {
-                    let (start, end) = (st.pos[node], st.pos[node + 1]);
-                    for child in start..end {
-                        coords[dim_idx] = st.crd[child];
+                    let (start, end) = (pos[node].to_usize(), pos[node + 1].to_usize());
+                    for (child, c) in (start..end).zip(&crd[start..end]) {
+                        coords[dim_idx] = c.to_usize();
                         if l + 1 == rank {
                             f(coords, child);
                         } else {
-                            self.walk_level(l + 1, child..child + 1, coords, f);
+                            self.walk_level::<T>(l + 1, child..child + 1, coords, f);
                         }
                     }
                 }
             }
             LevelType::Singleton => {
-                let st = &self.levels[l];
+                let crd: &[T] = self.levels[l].crd.as_slice();
                 for node in nodes {
-                    coords[dim_idx] = st.crd[node];
+                    coords[dim_idx] = crd[node].to_usize();
                     if l + 1 == rank {
                         f(coords, node);
                     } else {
-                        self.walk_level(l + 1, node..node + 1, coords, f);
+                        self.walk_level::<T>(l + 1, node..node + 1, coords, f);
                     }
                 }
             }
@@ -623,11 +720,17 @@ impl SparseTensor {
     pub fn to_coo(&self) -> CooTensor {
         let rank = self.format.rank();
         let mut coords = Vec::with_capacity(self.nnz() * rank);
-        let mut values = Values::empty(self.values.kind());
+        let mut picked = Vec::with_capacity(self.nnz());
         self.for_each_entry(|c, vi| {
             coords.extend_from_slice(c);
-            values.push_from(&self.values, vi);
+            picked.push(vi);
         });
+        let values = match &*self.values {
+            BufferData::I8(v) => Values::I8(picked.iter().map(|&vi| v[vi]).collect()),
+            BufferData::F64(v) => Values::F64(picked.iter().map(|&vi| v[vi]).collect()),
+            // invariant: assembly stores `Values`, which has these two kinds.
+            _ => Values::F64(Vec::new()),
+        };
         CooTensor::new(self.dims.clone(), coords, values)
     }
 
@@ -635,8 +738,8 @@ impl SparseTensor {
     pub fn to_dense_f64(&self) -> Vec<f64> {
         let size: usize = self.dims.iter().product();
         let mut out = vec![0.0; size];
-        let vals = match &self.values {
-            Values::F64(v) => v,
+        let vals = match &*self.values {
+            BufferData::F64(v) => v,
             _ => panic!("to_dense_f64 on non-f64 tensor"),
         };
         self.for_each_entry(|c, vi| {
@@ -649,25 +752,18 @@ impl SparseTensor {
         out
     }
 
-    /// Install the tensor's buffers into an interpreter arena. Position and
-    /// coordinate buffers are materialized at the tensor's index width.
+    /// Install the tensor's buffers into an interpreter arena: each array
+    /// the format has is shared with the arena as it is stored — one
+    /// reference-count increment per array, nothing converted or copied.
     pub fn install(&self, bufs: &mut Buffers) -> TensorBuffers {
         let mut pos = Vec::with_capacity(self.levels.len());
         let mut crd = Vec::with_capacity(self.levels.len());
         for (l, st) in self.levels.iter().enumerate() {
             let lt = self.format.levels()[l];
-            pos.push(if lt.has_pos() {
-                Some(bufs.add(self.index_width.to_buffer_data(&st.pos)))
-            } else {
-                None
-            });
-            crd.push(if lt.has_crd() {
-                Some(bufs.add(self.index_width.to_buffer_data(&st.crd)))
-            } else {
-                None
-            });
+            pos.push(lt.has_pos().then(|| bufs.add_shared(st.pos.shared())));
+            crd.push(lt.has_crd().then(|| bufs.add_shared(st.crd.shared())));
         }
-        let vals = bufs.add(self.values.to_buffer_data());
+        let vals = bufs.add_shared(Arc::clone(&self.values));
         TensorBuffers { pos, crd, vals }
     }
 
@@ -675,12 +771,16 @@ impl SparseTensor {
     /// the distribution that determines whether a matrix falls into the
     /// short-inner-loop regime where ASaP beats loop-bound prefetching.
     pub fn inner_segment_lengths(&self) -> Vec<usize> {
-        let last = self.format.rank() - 1;
-        let st = &self.levels[last];
-        if st.pos.is_empty() {
-            return Vec::new();
+        let pos = &self.levels[self.format.rank() - 1].pos;
+        fn lengths<T: IndexElem>(pos: &[T]) -> Vec<usize> {
+            pos.windows(2)
+                .map(|w| w[1].to_usize() - w[0].to_usize())
+                .collect()
         }
-        st.pos.windows(2).map(|w| w[1] - w[0]).collect()
+        match self.index_width {
+            IndexWidth::U32 => lengths::<i32>(pos.as_slice()),
+            IndexWidth::U64 => lengths::<usize>(pos.as_slice()),
+        }
     }
 }
 
@@ -735,20 +835,28 @@ impl DenseTensor {
     }
 }
 
-/// Read back a buffer produced by [`DenseTensor::install`] after a run.
-pub fn read_f64(bufs: &Buffers, id: u32) -> Vec<f64> {
-    match &bufs.get(id).data {
-        BufferData::F64(v) => v.clone(),
-        other => panic!("buffer is not f64: {other:?}"),
+/// Read back a buffer produced by [`DenseTensor::install`] after a run;
+/// a buffer of another element type is a typed `binding` error.
+pub fn read_f64(bufs: &Buffers, id: u32) -> Result<Vec<f64>, AsapError> {
+    match bufs.get(id).data {
+        BufferData::F64(v) => Ok(v.clone()),
+        other => Err(not_a_buffer_of("f64", other)),
     }
 }
 
 /// As [`read_f64`] for i8 buffers.
-pub fn read_i8(bufs: &Buffers, id: u32) -> Vec<i8> {
-    match &bufs.get(id).data {
-        BufferData::I8(v) => v.clone(),
-        other => panic!("buffer is not i8: {other:?}"),
+pub fn read_i8(bufs: &Buffers, id: u32) -> Result<Vec<i8>, AsapError> {
+    match bufs.get(id).data {
+        BufferData::I8(v) => Ok(v.clone()),
+        other => Err(not_a_buffer_of("i8", other)),
     }
+}
+
+fn not_a_buffer_of(want: &str, got: &BufferData) -> AsapError {
+    AsapError::binding(format!(
+        "buffer is not {want}: it holds {}",
+        got.elem_type()
+    ))
 }
 
 #[cfg(test)]
@@ -898,6 +1006,52 @@ mod tests {
         assert_eq!(t.footprint_bytes(), 28 + 24);
     }
 
+    /// The footprint is physical: what `footprint_bytes` reports is what
+    /// the tensor's arrays hold and what `install` binds, at either width.
+    #[test]
+    fn footprint_is_the_bytes_held_and_the_bytes_installed() {
+        let coords2 = vec![0, 1, 0, 4, 1, 3, 3, 0, 3, 2];
+        let coords3 = vec![0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1];
+        for kind in [ValueKind::F64, ValueKind::I8] {
+            let values = |n| match kind {
+                ValueKind::F64 => Values::F64((0..n).map(|i| 1.0 + i as f64).collect()),
+                ValueKind::I8 => Values::I8(vec![1; n]),
+            };
+            let m = CooTensor::new(vec![4, 5], coords2.clone(), values(5));
+            let t3 = CooTensor::new(vec![2, 2, 2], coords3.clone(), values(5));
+            let cases = [
+                (&m, Format::csr()),
+                (&m, Format::csc()),
+                (&m, Format::coo()),
+                (&m, Format::dcsr()),
+                (&t3, Format::csf(3)),
+            ];
+            for (coo, fmt) in cases {
+                for width in [IndexWidth::U32, IndexWidth::U64] {
+                    let mut t = SparseTensor::from_coo(coo, fmt.clone());
+                    t.set_index_width(width);
+                    t.check_invariants().unwrap();
+                    let levels = || (0..fmt.rank()).map(|l| t.level(l));
+                    // What the arrays occupy, and what they would at `width`.
+                    let held = levels()
+                        .map(|st| st.pos.byte_len() + st.crd.byte_len())
+                        .sum::<usize>()
+                        + t.values().len() * t.values().elem_bytes() as usize;
+                    let at_width = levels()
+                        .map(|st| (st.pos.len() + st.crd.len()) * width.byte_width())
+                        .sum::<usize>()
+                        + t.nnz() * kind.byte_width();
+                    assert_eq!(held, at_width, "{fmt} {width:?} {kind:?}: stored at width");
+                    let mut bufs = Buffers::new();
+                    t.install(&mut bufs);
+                    let what = format!("{fmt} {width:?} {kind:?}");
+                    assert_eq!(t.footprint_bytes(), held, "{what}: held");
+                    assert_eq!(bufs.bytes_allocated(), held as u64, "{what}: installed");
+                }
+            }
+        }
+    }
+
     #[test]
     fn inner_segment_lengths_csr() {
         let t = SparseTensor::from_coo(&paper_matrix(), Format::csr());
@@ -936,7 +1090,10 @@ mod tests {
         let d = DenseTensor::from_f64(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let mut bufs = Buffers::new();
         let id = d.install(&mut bufs);
-        assert_eq!(read_f64(&bufs, id), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(read_f64(&bufs, id).unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
+        let e = read_i8(&bufs, id).unwrap_err();
+        assert_eq!(e.kind(), "binding");
+        assert!(e.to_string().contains("buffer is not i8"), "{e}");
     }
 
     #[test]

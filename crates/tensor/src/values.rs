@@ -2,9 +2,15 @@
 //!
 //! The paper's evaluation uses 64-bit floats for general matrices and
 //! single-byte values with boolean arithmetic (`arith.ori`/`arith.andi`)
-//! for binary matrices (Section 4.2). [`Values`] carries either.
+//! for binary matrices (Section 4.2). [`Values`] carries either, as the
+//! owned array of a COO or dense tensor; a [`SparseTensor`]'s values and
+//! its `pos`/`crd` arrays ([`IndexArray`]) live behind an `Arc`, already
+//! in the element type the engines read, so binding shares them.
+//!
+//! [`SparseTensor`]: crate::SparseTensor
 
 use asap_ir::BufferData;
+use std::sync::Arc;
 
 /// The element kind of a tensor's values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,11 +109,29 @@ impl Values {
         }
     }
 
-    /// Convert into interpreter buffer data.
+    /// Copy into interpreter buffer data (how a dense operand is bound).
     pub fn to_buffer_data(&self) -> BufferData {
+        self.clone().into_buffer_data()
+    }
+
+    /// Hand the array over as interpreter buffer data, element type
+    /// unchanged.
+    pub(crate) fn into_buffer_data(self) -> BufferData {
         match self {
-            Values::F64(v) => BufferData::F64(v.clone()),
-            Values::I8(v) => BufferData::I8(v.clone()),
+            Values::F64(v) => BufferData::F64(v),
+            Values::I8(v) => BufferData::I8(v),
+        }
+    }
+}
+
+/// A sparse tensor's values compare with an owned array element by
+/// element (`*t.values() == Values::F64(..)`).
+impl PartialEq<Values> for BufferData {
+    fn eq(&self, other: &Values) -> bool {
+        match (self, other) {
+            (BufferData::F64(a), Values::F64(b)) => a == b,
+            (BufferData::I8(a), Values::I8(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -139,12 +163,161 @@ impl IndexWidth {
         }
     }
 
-    /// Materialize an index array at this width.
+    /// Materialize an index array at this width (a narrow element keeps
+    /// the low 32 bits).
     pub fn to_buffer_data(self, data: &[usize]) -> BufferData {
         match self {
-            IndexWidth::U32 => BufferData::I32(data.iter().map(|&x| x as i32).collect()),
-            IndexWidth::U64 => BufferData::Index(data.to_vec()),
+            IndexWidth::U32 => i32::wrap(data.iter().map(|&x| i32::from_usize(x)).collect()),
+            IndexWidth::U64 => usize::wrap(data.to_vec()),
         }
+    }
+}
+
+/// The element type of an index array at one [`IndexWidth`]: `i32` holds
+/// the bit pattern of a `u32` (what the engines zero-extend on load),
+/// `usize` is the IR's `index`.
+pub(crate) trait IndexElem: Copy {
+    /// Keep the low bits that fit.
+    // invariant: `try_from_coo` picks `U32` only when every position
+    // (<= nnz) and coordinate (< max dim) fits 32 bits, so nothing it
+    // stores is truncated.
+    fn from_usize(x: usize) -> Self;
+    fn to_usize(self) -> usize;
+    fn wrap(v: Vec<Self>) -> BufferData;
+    /// The elements of `data` when it has this element type, else none.
+    fn slice(data: &BufferData) -> &[Self];
+}
+
+impl IndexElem for i32 {
+    #[inline]
+    fn from_usize(x: usize) -> i32 {
+        x as u32 as i32
+    }
+    #[inline]
+    fn to_usize(self) -> usize {
+        self as u32 as usize
+    }
+    fn wrap(v: Vec<i32>) -> BufferData {
+        BufferData::I32(v)
+    }
+    fn slice(data: &BufferData) -> &[i32] {
+        match data {
+            BufferData::I32(v) => v,
+            _ => &[],
+        }
+    }
+}
+
+impl IndexElem for usize {
+    #[inline]
+    fn from_usize(x: usize) -> usize {
+        x
+    }
+    #[inline]
+    fn to_usize(self) -> usize {
+        self
+    }
+    fn wrap(v: Vec<usize>) -> BufferData {
+        BufferData::Index(v)
+    }
+    fn slice(data: &BufferData) -> &[usize] {
+        match data {
+            BufferData::Index(v) => v,
+            _ => &[],
+        }
+    }
+}
+
+/// A `pos` or `crd` array of a sparse tensor: built once at the tensor's
+/// index width (`BufferData::I32` for [`IndexWidth::U32`],
+/// `BufferData::Index` for [`IndexWidth::U64`]) and held behind an `Arc`,
+/// so installing it into an arena is a reference-count increment. Reads
+/// as a list of `usize` whatever the width.
+#[derive(Clone)]
+pub struct IndexArray(Arc<BufferData>);
+
+impl IndexArray {
+    pub(crate) fn from_vec<T: IndexElem>(v: Vec<T>) -> IndexArray {
+        IndexArray(Arc::new(T::wrap(v)))
+    }
+
+    /// `data` stored at `width`.
+    pub(crate) fn at_width(width: IndexWidth, data: &[usize]) -> IndexArray {
+        IndexArray(Arc::new(width.to_buffer_data(data)))
+    }
+
+    /// The array itself, for an arena to share.
+    pub(crate) fn shared(&self) -> Arc<BufferData> {
+        Arc::clone(&self.0)
+    }
+
+    /// The elements at their storage type (none if `T` is not it).
+    pub(crate) fn as_slice<T: IndexElem>(&self) -> &[T] {
+        T::slice(&self.0)
+    }
+
+    /// Bytes the array holds.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.0.len() * self.0.elem_bytes() as usize
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub fn get(&self, i: usize) -> Option<usize> {
+        let (narrow, wide) = self.slices();
+        narrow
+            .get(i)
+            .map(|x| x.to_usize())
+            .or_else(|| wide.get(i).copied())
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (narrow, wide) = self.slices();
+        narrow
+            .iter()
+            .map(|x| x.to_usize())
+            .chain(wide.iter().copied())
+    }
+
+    pub fn to_vec(&self) -> Vec<usize> {
+        self.iter().collect()
+    }
+
+    /// One of the two is the array, the other is empty.
+    fn slices(&self) -> (&[i32], &[usize]) {
+        (self.as_slice(), self.as_slice())
+    }
+}
+
+/// A plain list, like the `Vec<usize>` it reads as.
+impl std::fmt::Debug for IndexArray {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Equal when the elements are, at whatever widths.
+impl PartialEq for IndexArray {
+    fn eq(&self, other: &IndexArray) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl PartialEq<Vec<usize>> for IndexArray {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+impl From<Vec<usize>> for IndexArray {
+    fn from(v: Vec<usize>) -> IndexArray {
+        IndexArray::from_vec(v)
     }
 }
 

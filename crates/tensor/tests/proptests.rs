@@ -234,7 +234,10 @@ fn reference(coo: &CooTensor, fmt: &Format) -> (Vec<LevelStorage>, Values) {
                 }
             }
         }
-        levels.push(LevelStorage { pos, crd });
+        levels.push(LevelStorage {
+            pos: pos.into(),
+            crd: crd.into(),
+        });
     }
     (levels, values)
 }
@@ -324,7 +327,7 @@ fn assert_matches_reference(coo: &CooTensor, fmt: &Format, what: &str) {
     }
     // Bitwise: `-0.0 == 0.0` must not hide a reordered sum.
     match (t.values(), &values) {
-        (Values::F64(got), Values::F64(want)) => assert_eq!(
+        (asap_ir::BufferData::F64(got), Values::F64(want)) => assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "{what}: values"
@@ -467,7 +470,7 @@ fn duplicates_accumulate_in_input_order() {
                 t.for_each_entry(|c, vi| {
                     if c == target {
                         assert_eq!(sum, None, "seed {seed} {fmt}: target cell stored twice");
-                        let Values::F64(v) = t.values() else {
+                        let asap_ir::BufferData::F64(v) = t.values() else {
                             unreachable!()
                         };
                         sum = Some(v[vi]);

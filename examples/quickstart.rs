@@ -23,8 +23,8 @@ fn main() {
 
     // 2. Store it as CSR (pos/crd/values buffers).
     let b = SparseTensor::from_coo(&tri.to_coo(), Format::csr());
-    println!("CSR Bj_pos[0..5] = {:?}", &b.level(1).pos[..5]);
-    println!("CSR Bj_crd[0..5] = {:?}", &b.level(1).crd[..5]);
+    println!("CSR Bj_pos[0..5] = {:?}", &b.level(1).pos.to_vec()[..5]);
+    println!("CSR Bj_crd[0..5] = {:?}", &b.level(1).crd.to_vec()[..5]);
 
     // 3. Compile SpMV three ways: baseline, ASaP, Ainsworth&Jones.
     let spec = KernelSpec::spmv(ValueKind::F64);

@@ -46,7 +46,7 @@ fn out_of_range_coordinate_is_rejected() {
     let mut t = csr_fixture();
     // Row 0 stores columns [0, 2]; raising the larger one keeps the
     // segment sorted so the *range* check is what fires.
-    t.level_mut(1).crd[1] = 999; // column 999 in a 6-wide matrix
+    t.edit_level(1, |_, crd| crd[1] = 999); // column 999 in a 6-wide matrix
     expect_storage_error(&t, "out of range");
 }
 
@@ -54,16 +54,18 @@ fn out_of_range_coordinate_is_rejected() {
 fn unsorted_segment_is_rejected() {
     let mut t = csr_fixture();
     // Each row has two columns; reverse the first row's pair.
-    let crd = &mut t.level_mut(1).crd;
-    crd.swap(0, 1);
+    t.edit_level(1, |_, crd| {
+        crd.swap(0, 1);
+    });
     expect_storage_error(&t, "not sorted");
 }
 
 #[test]
 fn duplicate_coordinate_in_unique_level_is_rejected() {
     let mut t = csr_fixture();
-    let crd = &mut t.level_mut(1).crd;
-    crd[1] = crd[0]; // CSR columns are a unique level: strict order required
+    t.edit_level(1, |_, crd| {
+        crd[1] = crd[0]; // CSR columns are a unique level: strict order required
+    });
     expect_storage_error(&t, "not sorted");
 }
 
@@ -73,45 +75,46 @@ fn non_monotone_pos_is_rejected() {
     // Valid endpoints (first 0, last crd.len()) but a backwards interior
     // step. The checker must reject it *before* slicing segments — this
     // is the shape that would otherwise read out of bounds.
-    let pos = &mut t.level_mut(1).pos;
-    let last = *pos.last().unwrap();
-    pos[1] = last + 5;
+    t.edit_level(1, |pos, _| {
+        let last = *pos.last().unwrap();
+        pos[1] = last + 5;
+    });
     expect_storage_error(&t, "not monotone");
 }
 
 #[test]
 fn wrong_pos_endpoints_are_rejected() {
     let mut t = csr_fixture();
-    *t.level_mut(1).pos.last_mut().unwrap() += 1;
+    t.edit_level(1, |pos, _| *pos.last_mut().unwrap() += 1);
     expect_storage_error(&t, "endpoints");
 }
 
 #[test]
 fn wrong_pos_length_is_rejected() {
     let mut t = csr_fixture();
-    t.level_mut(1).pos.push(12); // one boundary too many
+    t.edit_level(1, |pos, _| pos.push(12)); // one boundary too many
     expect_storage_error(&t, "pos len");
 }
 
 #[test]
 fn dense_level_with_buffers_is_rejected() {
     let mut t = csr_fixture();
-    t.level_mut(0).crd.push(0); // CSR's row level is dense: no buffers
+    t.edit_level(0, |_, crd| crd.push(0)); // CSR's row level is dense: no buffers
     expect_storage_error(&t, "dense level has buffers");
 }
 
 #[test]
 fn singleton_level_corruptions_are_rejected() {
     let mut t = coo_fixture();
-    t.level_mut(1).pos.push(0);
+    t.edit_level(1, |pos, _| pos.push(0));
     expect_storage_error(&t, "singleton has pos");
 
     let mut t = coo_fixture();
-    t.level_mut(1).crd.pop();
+    t.edit_level(1, |_, crd| crd.pop());
     expect_storage_error(&t, "singleton crd len");
 
     let mut t = coo_fixture();
-    t.level_mut(1).crd[0] = 77;
+    t.edit_level(1, |_, crd| crd[0] = 77);
     expect_storage_error(&t, "out of range");
 }
 
@@ -120,7 +123,7 @@ fn truncated_crd_is_rejected_not_read_out_of_bounds() {
     let mut t = csr_fixture();
     // Shrink crd without fixing pos: every pos segment now points past
     // the end of the buffer.
-    t.level_mut(1).crd.truncate(3);
+    t.edit_level(1, |_, crd| crd.truncate(3));
     let err = t.check_invariants().expect_err("truncated crd");
     assert_eq!(err.kind(), "storage");
 }
