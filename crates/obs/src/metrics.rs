@@ -91,7 +91,7 @@ impl ExemplarSlot {
 /// A fixed-size log2 histogram whose buckets remember the last trace id
 /// recorded into them. All fields are atomics, so recording through a
 /// handle is lock-free.
-struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -110,7 +110,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    fn record(&self, v: u64, exemplar: Option<u128>) {
+    pub(crate) fn record(&self, v: u64, exemplar: Option<u128>) {
         let b = (64 - v.leading_zeros()) as usize;
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -238,8 +238,9 @@ struct Handles {
 thread_local! {
     /// Without this cache every worker serializes on the registry mutex
     /// a dozen times per request, which alone blows the serving layer's
-    /// 2% telemetry-overhead budget; `seen_series_record_without_the_registry_mutex`
-    /// pins that the steady state takes no lock.
+    /// telemetry-overhead budget (DESIGN.md §15);
+    /// `seen_series_record_without_the_registry_mutex` pins that the
+    /// steady state takes no lock.
     static HANDLES: RefCell<Handles> = RefCell::default();
 }
 
@@ -264,7 +265,7 @@ fn handle<T: Default>(
     })
 }
 
-fn counter_handle(name: &str) -> &'static AtomicU64 {
+pub(crate) fn counter_handle(name: &str) -> &'static AtomicU64 {
     handle(name, |h| &mut h.counters, |r| &mut r.counters)
 }
 
@@ -272,7 +273,7 @@ fn gauge_handle(name: &str) -> &'static AtomicI64 {
     handle(name, |h| &mut h.gauges, |r| &mut r.gauges)
 }
 
-fn histogram_handle(name: &str) -> &'static Histogram {
+pub(crate) fn histogram_handle(name: &str) -> &'static Histogram {
     handle(name, |h| &mut h.histograms, |r| &mut r.histograms)
 }
 

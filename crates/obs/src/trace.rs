@@ -26,6 +26,7 @@
 
 use crate::json::ObjWriter;
 use crate::metrics;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -360,38 +361,86 @@ impl RequestRecord {
     }
 }
 
+/// The series one tenant's completions record into, each resolved the
+/// first time this thread needs it: rendering nine labeled names and
+/// hashing each through the registry's handle cache on every completion
+/// was most of what a request paid for telemetry.
+#[derive(Default)]
+struct TenantSeries {
+    stages: [Option<&'static metrics::Histogram>; STAGE_COUNT],
+    request: Option<&'static metrics::Histogram>,
+    /// `[under, over]` against `slo_ms`; dropped when the objective
+    /// changes (two servers in one process).
+    slo: [Option<&'static AtomicU64>; 2],
+    slo_ms: u64,
+}
+
+impl TenantSeries {
+    fn record(&mut self, rec: &RequestRecord, slo_ms: u64) {
+        let exemplar = Some(rec.id.0);
+        let tenant = rec.tenant.as_str();
+        for (i, st) in STAGES.iter().enumerate() {
+            if rec.stages_ns[i] == 0 {
+                continue; // stages the request never reached stay absent
+            }
+            self.stages[i]
+                .get_or_insert_with(|| {
+                    metrics::histogram_handle(&metrics::labeled_name(
+                        "serve.stage_ns",
+                        &[("stage", st.label()), ("tenant", tenant)],
+                    ))
+                })
+                .record(rec.stages_ns[i], exemplar);
+        }
+        self.request
+            .get_or_insert_with(|| {
+                metrics::histogram_handle(&metrics::labeled_name(
+                    "serve.request_ns",
+                    &[("tenant", tenant)],
+                ))
+            })
+            .record(rec.total_ns, exemplar);
+        if rec.is_run {
+            if self.slo_ms != slo_ms {
+                (self.slo, self.slo_ms) = ([None; 2], slo_ms);
+            }
+            let over = rec.total_ns > slo_ms.saturating_mul(1_000_000);
+            self.slo[usize::from(over)]
+                .get_or_insert_with(|| {
+                    metrics::counter_handle(&metrics::labeled_name(
+                        if over {
+                            "serve.slo.over"
+                        } else {
+                            "serve.slo.under"
+                        },
+                        &[("objective_ms", &slo_ms.to_string()), ("tenant", tenant)],
+                    ))
+                })
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+thread_local! {
+    static TENANT_SERIES: RefCell<HashMap<String, TenantSeries>> = RefCell::default();
+}
+
 /// Flush a completed request into the metrics registry: per-stage
 /// per-tenant histograms (`serve.stage_ns{…}`) with the trace id as
 /// exemplar, a whole-request latency histogram (`serve.request_ns{…}`),
 /// and — for `/v1/run` requests — the SLO over/under counters against
 /// `slo_ms`.
 pub fn flush_stage_metrics(rec: &RequestRecord, slo_ms: u64) {
-    let exemplar = rec.id.0;
-    for (i, st) in STAGES.iter().enumerate() {
-        if rec.stages_ns[i] == 0 {
-            continue; // stages the request never reached stay absent
+    TENANT_SERIES.with(|series| {
+        let mut series = series.borrow_mut();
+        match series.get_mut(&rec.tenant) {
+            Some(s) => s.record(rec, slo_ms),
+            None => series
+                .entry(rec.tenant.clone())
+                .or_default()
+                .record(rec, slo_ms),
         }
-        let name = metrics::labeled_name(
-            "serve.stage_ns",
-            &[("stage", st.label()), ("tenant", &rec.tenant)],
-        );
-        metrics::histogram_record_exemplar(&name, rec.stages_ns[i], exemplar);
-    }
-    let name = metrics::labeled_name("serve.request_ns", &[("tenant", &rec.tenant)]);
-    metrics::histogram_record_exemplar(&name, rec.total_ns, exemplar);
-    if rec.is_run {
-        let objective = slo_ms.to_string();
-        let side = if rec.total_ns > slo_ms.saturating_mul(1_000_000) {
-            "serve.slo.over"
-        } else {
-            "serve.slo.under"
-        };
-        let name = metrics::labeled_name(
-            side,
-            &[("objective_ms", &objective), ("tenant", &rec.tenant)],
-        );
-        metrics::counter_inc(&name);
-    }
+    });
 }
 
 /// EWMA smoothing shift: `ewma += (x - ewma) / 2^4`.

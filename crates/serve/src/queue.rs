@@ -207,11 +207,14 @@ impl<C, J> TenantScheduler<C, J> {
     pub fn done_conn(&self) {
         let mut g = self.lock();
         g.leases = g.leases.saturating_sub(1);
-        let all_idle = g.closed && g.leases == 0 && g.conns.is_empty() && g.jobs_total == 0;
+        let last_lease = g.closed && g.leases == 0;
         drop(g);
-        if all_idle {
-            // Last lease gone with nothing queued: wake blocked workers
-            // so they observe the exit condition.
+        if last_lease {
+            // Nothing can be queued any more, so every blocked worker
+            // has to look again: it takes what is left or sees the exit
+            // condition. Waking them only when nothing is queued loses
+            // the wake-up when this parse's own job is still in its
+            // lane — whoever pops it notifies nobody.
             self.ready.notify_all();
         }
     }
@@ -340,6 +343,39 @@ mod tests {
         }
         // …and with the lease released and queues empty, workers exit.
         assert!(s.next_work().is_none());
+    }
+
+    /// The last lease going while its job is still queued must wake
+    /// every blocked worker, not only the one the submit woke: the pop
+    /// that empties the scheduler notifies nobody. Which of the two
+    /// orders a run takes is up to the OS scheduler, hence the rounds.
+    #[test]
+    fn last_lease_with_its_job_still_queued_releases_every_worker() {
+        for round in 0..300 {
+            let s: Arc<TenantScheduler<&str, u32>> = Arc::new(TenantScheduler::new(4, 8, 8));
+            s.try_push_conn("c").unwrap();
+            let Some(Work::Conn(_)) = s.next_work() else {
+                panic!("conn expected")
+            };
+            s.close();
+            let (exited_tx, exited_rx) = std::sync::mpsc::channel();
+            for _ in 0..3 {
+                let (s, exited_tx) = (s.clone(), exited_tx.clone());
+                std::thread::spawn(move || {
+                    while s.next_work().is_some() {}
+                    let _ = exited_tx.send(());
+                });
+            }
+            // Let the workers park on the closed, leased scheduler.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            s.submit_job("t", 1, 7).unwrap();
+            s.done_conn();
+            for _ in 0..3 {
+                exited_rx
+                    .recv_timeout(std::time::Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("round {round}: a worker never saw the drain"));
+            }
+        }
     }
 
     #[test]

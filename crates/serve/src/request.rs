@@ -155,14 +155,16 @@ impl RunRequest {
     /// [`budget`](RunRequest::budget) with the deadline replaced by the
     /// time actually left — queue time counts against the client's
     /// deadline, so the executor passes `deadline_at - now`, not the
-    /// original span.
+    /// original span. Nothing left is an already-expired deadline (the
+    /// run traps at its first poll slot), not a millisecond of grace in
+    /// which a small kernel finishes and answers 200 past its deadline.
     pub fn budget_with_remaining(&self, cancel: &CancelToken, remaining_ms: u64) -> Budget {
         let mut b = Budget::unlimited().with_cancel(cancel);
         if self.exec_bytes > 0 {
             b = b.with_bytes(self.exec_bytes);
         }
         if self.deadline_ms > 0 {
-            b = b.with_deadline_ms(remaining_ms.max(1));
+            b = b.with_deadline_ms(remaining_ms);
         }
         b
     }
@@ -431,6 +433,19 @@ mod tests {
         assert_eq!(r.deadline_ms, 250);
         assert_eq!(r.sparse().dims(), &[256, 256]);
         assert!(!r.resident.store_hit, "first sight is a miss");
+    }
+
+    #[test]
+    fn no_time_left_is_an_expired_deadline_not_a_millisecond_of_grace() {
+        let fx = Fixture::new(64 * 1024 * 1024);
+        let body = br#"{"kernel":"spmv","matrix":"gen:er:256:4","deadline_ms":40}"#;
+        let r = parse_run_request(body, &fx.ctx()).unwrap();
+        let mut meter = r.budget_with_remaining(&CancelToken::new(), 0).meter();
+        let trapped = (0..=asap_ir::BudgetMeter::POLL_INTERVAL).find_map(|_| meter.tick().err());
+        assert!(
+            trapped.is_some(),
+            "an expired deadline traps at a poll slot"
+        );
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //!
 //! Thread structure (all plain `std::thread`, joined on shutdown):
 //!
-//! - **accept** — non-blocking `TcpListener` polled at ~1ms. Raw
-//!   connections either enter the scheduler's bounded connection FIFO
-//!   or are answered 429 + `Retry-After` immediately. When draining
-//!   starts, the loop closes the scheduler and exits —
-//!   already-admitted work still gets served.
+//! - **accept** — blocks in `accept()` on a blocking `TcpListener`; an
+//!   idle server makes no system calls. Raw connections either enter
+//!   the scheduler's bounded connection FIFO or are answered 429 +
+//!   `Retry-After` immediately. Whoever starts a drain
+//!   (`Shared::begin_drain`, the only writer of `draining`) wakes the
+//!   thread with a throw-away connection to the listener; the loop
+//!   reads the flag after every `accept` as well as before, closes the
+//!   scheduler and exits — already-admitted work still gets served.
 //! - **workers** (N) — drain the [`TenantScheduler`]: connections
 //!   first (parse HTTP, route; a `POST /v1/run` climbs the admission
 //!   ladder of `admission.rs` and is queued as a job), then jobs,
@@ -39,7 +42,7 @@ use crate::tenant::{TenantQuotas, TenantRegistry};
 use asap_core::fingerprint64;
 use asap_matrices::SizeClass;
 use asap_obs::{FlightRecorder, ObjWriter, Stage, TraceCtx, TraceId};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,8 +50,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Accept-loop poll interval while the listener is idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Pause after a failed `accept` (EMFILE, an aborted handshake), so a
+/// full fd table cannot spin a core. The success path never sleeps.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Bound on the drain wake-up's connect. Loopback connects in
+/// microseconds; it can only take this long against a full backlog, and
+/// an acceptor with a full backlog is not asleep.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -155,6 +164,10 @@ pub(crate) struct Shared {
     pub tenants: TenantRegistry,
     pub store: Arc<MatrixStore>,
     pub draining: AtomicBool,
+    /// Where [`Shared::begin_drain`] connects to get the accept thread
+    /// out of `accept()`: the listener's address, through loopback when
+    /// it is bound to the wildcard.
+    wake_addr: SocketAddr,
     pub reaper_stop: AtomicBool,
     pub supervisor_stop: AtomicBool,
     pub flights: SingleFlight,
@@ -171,6 +184,19 @@ pub(crate) struct Shared {
     pub rejected: AtomicU64,
     pub in_flight: AtomicU64,
     pub shed_expired: AtomicU64,
+}
+
+impl Shared {
+    /// Start draining; idempotent. The accept thread sleeps in
+    /// `accept()`, so the first caller also wakes it with a connection
+    /// it will drop unanswered. A refused or timed-out connect is
+    /// ignored: it means the thread is already gone or busy accepting,
+    /// and either way it reads the flag next.
+    pub fn begin_drain(&self) {
+        if !self.draining.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
+    }
 }
 
 /// What a handled connection asks of its worker afterwards.
@@ -195,8 +221,13 @@ impl Server {
     /// Bind and start the accept loop, workers, supervisor, and reaper.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // A wildcard bind is reached through loopback of its family.
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
         let tenants = TenantRegistry::new(TenantQuotas {
             rps: cfg.tenant_rps,
             burst: cfg.tenant_burst,
@@ -209,6 +240,7 @@ impl Server {
             tenants,
             store: Arc::new(MatrixStore::new(cfg.store_bytes)),
             draining: AtomicBool::new(false),
+            wake_addr: SocketAddr::new(wake_ip, addr.port()),
             reaper_stop: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
             flights: SingleFlight::new(),
@@ -279,15 +311,16 @@ impl Server {
     /// Start draining: stop admitting, let queued and in-flight work
     /// finish. Idempotent; returns immediately.
     pub fn begin_drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.begin_drain();
     }
 
     /// Daemon mode: block until a drain is requested (via
     /// `POST /control/shutdown` or another handle's [`Server::begin_drain`]),
     /// then finish the drain and join every thread.
-    pub fn run_until_drained(self) {
-        while !self.shared.draining.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(50));
+    pub fn run_until_drained(mut self) {
+        // The accept thread exits exactly when a drain starts.
+        if let Some(a) = self.accept.take() {
+            let _ = a.join();
         }
         self.join();
     }
@@ -330,36 +363,35 @@ pub(crate) fn spawn_worker(
 }
 
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    loop {
-        if shared.draining.load(Ordering::Acquire) {
-            // Stop admitting; wake workers to drain what's queued.
-            shared.sched.close();
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                asap_obs::counter_inc("serve.accepted");
-                // The accepted socket must block normally for the
-                // worker's reads regardless of listener flags.
-                let _ = stream.set_nonblocking(false);
-                // Mint the request trace context (dormant when
-                // telemetry is off); queue wait starts ticking here.
-                let trace = if shared.cfg.telemetry {
-                    TraceCtx::start()
-                } else {
-                    TraceCtx::disabled()
-                };
-                trace.mark_queued();
-                admit(Conn { stream, trace }, shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
+    while !shared.draining.load(Ordering::Acquire) {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
             // Transient accept failure (EMFILE, aborted handshake):
             // back off and keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        if shared.draining.load(Ordering::Acquire) {
+            // The wake-up connection, or a client that raced it: dropped
+            // unanswered and uncounted, like everything still in the
+            // backlog when the listener closes below.
+            break;
         }
+        asap_obs::counter_inc("serve.accepted");
+        // Mint the request trace context (dormant when telemetry is
+        // off); queue wait starts ticking here.
+        let trace = if shared.cfg.telemetry {
+            TraceCtx::start()
+        } else {
+            TraceCtx::disabled()
+        };
+        trace.mark_queued();
+        admit(Conn { stream, trace }, shared);
     }
+    // Stop admitting; wake workers to drain what's queued.
+    shared.sched.close();
 }
 
 /// Queue an accepted connection, or answer it here on the accept thread
@@ -537,7 +569,7 @@ fn handle_connection(slot: &mut Option<Reply>, fingerprint: &AtomicU64) -> ConnO
             }
         }
         ("POST", "/control/shutdown") => {
-            shared.draining.store(true, Ordering::Release);
+            shared.begin_drain();
             reply.json(200, &render_error("draining", "control", "drain started"));
         }
         ("POST", "/debug/panic") if shared.cfg.enable_fault_endpoints => {
@@ -611,4 +643,33 @@ fn healthz_body(shared: &Shared) -> String {
         shared.supervisor.journal.entries.load(Ordering::Relaxed),
     );
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The process-global counters are shared by tests running in
+    /// parallel, so this looks at what only this server owns.
+    #[test]
+    fn the_drain_wake_up_connection_is_invisible() {
+        let mut server = Server::start(ServeConfig::default()).unwrap();
+        server.begin_drain();
+        let accept = server.accept.take().unwrap();
+        let watchdog = Instant::now() + Duration::from_secs(5);
+        while !accept.is_finished() {
+            assert!(
+                Instant::now() < watchdog,
+                "the accept thread slept through the drain"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        accept.join().expect("the accept thread exits cleanly");
+        let shared = &server.shared;
+        assert_eq!(shared.served.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.rejected.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.sched.conn_depth(), 0);
+        assert!(shared.flight.recent().is_empty(), "the wake-up got a trace");
+        server.join();
+    }
 }

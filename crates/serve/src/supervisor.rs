@@ -219,7 +219,10 @@ impl Reaper {
     }
 
     /// Register an executing request; the stream clone is switched to
-    /// non-blocking so the sweep's peek never stalls.
+    /// non-blocking so the sweep's peek never stalls. `O_NONBLOCK` lives
+    /// on the open file description the clone shares with the worker's
+    /// socket, so until [`Reaper::unregister`] that one is non-blocking
+    /// too.
     pub fn register(&self, token: &CancelToken, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
         clone.set_nonblocking(true).ok()?;
@@ -228,8 +231,14 @@ impl Reaper {
         Some(id)
     }
 
+    /// Stop watching the request and put its socket back in blocking
+    /// mode: the reply is written next, and on a non-blocking socket one
+    /// larger than the send buffer would be cut short with `WouldBlock`.
     pub fn unregister(&self, id: u64) {
-        self.lock().remove(&id);
+        let watched = self.lock().remove(&id);
+        if let Some((_, stream)) = watched {
+            let _ = stream.set_nonblocking(false);
+        }
     }
 
     /// One sweep: cancel every request whose client hung up.
@@ -257,5 +266,45 @@ pub(crate) fn reaper_loop(shared: &Shared) {
     while !shared.reaper_stop.load(Ordering::Acquire) {
         shared.reaper.sweep();
         std::thread::sleep(REAPER_POLL);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+    use std::net::TcpListener;
+
+    #[test]
+    fn unregister_restores_blocking_mode_for_the_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        const LEN: usize = 8 << 20;
+        let peer = std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            // Let the writer fill the socket buffers before any byte is
+            // read, then read slowly.
+            std::thread::sleep(Duration::from_millis(100));
+            let (mut buf, mut total) = (vec![0u8; 64 << 10], 0);
+            while total < LEN {
+                match client.read(&mut buf).unwrap() {
+                    0 => break,
+                    n => total += n,
+                }
+                if total < (1 << 20) {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            total
+        });
+        let (mut served, _) = listener.accept().unwrap();
+        let reaper = Reaper::default();
+        let id = reaper.register(&CancelToken::new(), &served).unwrap();
+        reaper.unregister(id);
+        served
+            .write_all(&vec![7u8; LEN])
+            .expect("a socket the reaper has let go of blocks until the peer reads");
+        drop(served);
+        assert_eq!(peer.join().unwrap(), LEN);
     }
 }
