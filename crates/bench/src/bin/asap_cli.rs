@@ -12,7 +12,7 @@
 //! ```
 
 use asap_bench::{run_cell, sweep_spmv_dir, Cell, Variant, SPMM_COLS_F64};
-use asap_core::{service_c, service_x, ServiceKernel};
+use asap_core::{service_c, service_x, ServiceKernel, MAX_PREFETCH_DISTANCE};
 use asap_ir::{Budget, ExecProfile, TraceModel};
 use asap_matrices::{gen, read_matrix_market, Triplets};
 use asap_obs::TeeModel;
@@ -139,6 +139,7 @@ fn parse_args() -> Args {
                 distance = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|d| *d <= MAX_PREFETCH_DISTANCE)
                     .unwrap_or_else(|| usage())
             }
             "--hw" => hw_name = args.next().unwrap_or_else(|| usage()),
@@ -238,6 +239,7 @@ fn profile_main(args: Vec<String>) {
                 distance = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|d| *d <= MAX_PREFETCH_DISTANCE)
                     .unwrap_or_else(|| usage())
             }
             "--hw" => hw_name = it.next().unwrap_or_else(|| usage()),

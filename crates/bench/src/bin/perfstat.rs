@@ -536,15 +536,13 @@ fn real_main() -> Result<(), String> {
     };
     let cache_obj = {
         let mut w = ObjWriter::new();
-        let shard_bytes: Vec<String> = cache.shard_bytes.iter().map(u64::to_string).collect();
         w.u64("hits", cache.hits)
             .u64("misses", cache.misses)
             .u64("tier2_hits", cache.tier2_hits)
             .u64("tier2_misses", cache.tier2_misses)
             .u64("evictions", cache.evictions)
             .u64("poison_recoveries", cache.poison_recoveries)
-            .u64("bytes", cache.bytes)
-            .raw("shard_bytes", &format!("[{}]", shard_bytes.join(", ")));
+            .u64("bytes", cache.bytes);
         w.finish()
     };
     let json = format!(

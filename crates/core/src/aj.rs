@@ -20,7 +20,7 @@
 use asap_ir::{BinOp, CmpPred, Function, Literal, Op, OpKind, Region, Type, Value};
 
 /// Configuration for the baseline pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AjConfig {
     /// Look-ahead distance in loop iterations (45 in the evaluation).
     pub distance: usize,

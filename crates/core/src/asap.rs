@@ -14,7 +14,7 @@ use asap_ir::{CmpPred, FuncBuilder};
 use asap_sparsifier::{LocateCtx, LocateHook, Stride};
 
 /// Configuration of the ASaP scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AsapConfig {
     /// Prefetch look-ahead, in iterations of the locate loop. The paper's
     /// evaluation fixes 45 (Section 4.3); it is profile-tunable.

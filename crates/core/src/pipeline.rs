@@ -25,8 +25,14 @@ use asap_ir::{
 use asap_sparsifier::{bind, read_back, sparsify, BoundKernel, KernelSpec, SparsifiedKernel};
 use asap_tensor::{DenseTensor, Format, IndexWidth, SparseTensor, ValueKind};
 
+/// The largest prefetch look-ahead a client may ask for (`/v1/run`,
+/// `asap_cli --distance`). The passes emit `2 * distance` as an index
+/// constant, so an unbounded distance overflows; no useful look-ahead
+/// comes near this bound.
+pub const MAX_PREFETCH_DISTANCE: usize = u32::MAX as usize;
+
 /// Which software-prefetching variant to compile (paper Section 4.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchStrategy {
     /// Variant 1: plain sparsification, no software prefetching.
     Baseline,

@@ -2,7 +2,7 @@
 //!
 //! `asap-serve` and the load harness both need the same unit of work:
 //! given a sparse matrix, a kernel choice, a strategy, an engine, and a
-//! resource budget, compile through the sharded cache and execute on
+//! resource budget, compile through the kernel cache and execute on
 //! deterministic operands, returning a checksummed [`ServiceOutcome`].
 //! Pulling that unit into `asap-core` keeps the daemon a thin transport
 //! layer and — more importantly — makes "the server returns exactly what
@@ -16,11 +16,12 @@
 //! patterns the bench harness uses, so a served result is comparable
 //! against any other run of the same (matrix, kernel, variant).
 
-use crate::cache::compile_cached_stat;
+use crate::cache::compile_shared;
 use crate::pipeline::{bind_and_run, CompiledKernel, ExecEngine, PrefetchStrategy};
 use asap_ir::{AsapError, Budget, NullModel};
 use asap_sparsifier::KernelSpec;
 use asap_tensor::{DenseTensor, SparseTensor, ValueKind};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which kernel a request names.
@@ -114,21 +115,22 @@ pub fn service_c(n: usize, cols: usize) -> DenseTensor {
     )
 }
 
-/// Compile step, separated out so a coalescing layer can single-flight
-/// it: returns the kernel, whether it was a cache hit, and the compile
-/// wall-clock.
+/// Compile step through the cache, which coalesces concurrent compiles
+/// of one kernel: returns the shared kernel, whether it was a cache hit
+/// (`false` only for the caller that compiled it), and this caller's own
+/// wall-clock for the step.
 pub fn compile_for(
     kernel: ServiceKernel,
     sparse: &SparseTensor,
     strategy: &PrefetchStrategy,
-) -> Result<(CompiledKernel, bool, u64), AsapError> {
+) -> Result<(Arc<CompiledKernel>, bool, u64), AsapError> {
     let t0 = Instant::now();
-    let (ck, hit) = compile_cached_stat(
-        &kernel.spec(),
-        sparse.format(),
+    let (ck, hit) = compile_shared((
+        kernel.spec(),
+        sparse.format().clone(),
         sparse.index_width(),
-        strategy,
-    )?;
+        *strategy,
+    ))?;
     Ok((ck, hit, t0.elapsed().as_nanos() as u64))
 }
 
@@ -287,6 +289,34 @@ mod tests {
         assert_eq!(vm.engine_used, "bytecode");
         assert_eq!(auto.checksum, vm.checksum, "tier-2 must be bit-identical");
         assert_eq!(auto.checksum, tree.checksum);
+    }
+
+    #[test]
+    fn max_prefetch_distance_computes_what_the_paper_distance_does() {
+        // Prefetches are hints: the largest accepted look-ahead changes
+        // which addresses are prefetched, never the result or the engine.
+        let sparse = tiny_matrix();
+        for engine in [ExecEngine::Auto, ExecEngine::Bytecode, ExecEngine::TreeWalk] {
+            let run = |strategy| {
+                serve_request(
+                    ServiceKernel::Spmv,
+                    &sparse,
+                    &strategy,
+                    engine,
+                    &Budget::unlimited(),
+                )
+                .unwrap()
+            };
+            let variants: [fn(usize) -> PrefetchStrategy; 2] =
+                [PrefetchStrategy::asap, PrefetchStrategy::aj];
+            for at in variants {
+                let (paper, max) = (at(45), at(crate::MAX_PREFETCH_DISTANCE));
+                let (want, got) = (run(paper), run(max));
+                assert_eq!(got.checksum, want.checksum, "{max:?} on {engine:?}");
+                assert_eq!(got.engine_used, want.engine_used, "{max:?}");
+                assert!(!got.degraded, "{max:?}: {:?}", got.warnings);
+            }
+        }
     }
 
     #[test]

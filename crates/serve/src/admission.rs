@@ -270,9 +270,7 @@ pub(crate) fn execute_run(
     let trace = &reply.trace;
     let result = trace
         .time(Stage::Compile, || {
-            shared
-                .flights
-                .compile(run.kernel, run.sparse(), &run.strategy)
+            asap_core::compile_for(run.kernel, run.sparse(), &run.strategy)
         })
         .and_then(|(ck, cache_hit, compile_ns)| {
             trace.time(Stage::Exec, || {

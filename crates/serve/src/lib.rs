@@ -14,9 +14,9 @@
 //! - **Admission control** ([`queue`]): the connection FIFO and every
 //!   job lane are bounded; overload is an immediate 429 +
 //!   `Retry-After`, never latency collapse.
-//! - **Request coalescing** ([`single_flight`]): concurrent cold
-//!   compiles of the same kernel single-flight; exactly one request
-//!   pays.
+//! - **Request coalescing** (`asap_core::cache`): concurrent cold
+//!   compiles of the same kernel single-flight in the compile cache;
+//!   exactly one request pays.
 //! - **Panic isolation** ([`server`]): a panicking request is a 500 for
 //!   that client, not a dead worker.
 //! - **Cancellation**: a reaper thread detects client disconnects and

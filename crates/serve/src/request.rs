@@ -19,7 +19,9 @@
 use crate::matrix::MatrixCatalog;
 use crate::store::{MatrixStore, Resident, StoreError};
 use crate::tenant::TenantState;
-use asap_core::{ExecEngine, PrefetchStrategy, ServiceKernel, ServiceOutcome};
+use asap_core::{
+    ExecEngine, PrefetchStrategy, ServiceKernel, ServiceOutcome, MAX_PREFETCH_DISTANCE,
+};
 use asap_ir::{AsapError, Budget, CancelToken};
 use asap_obs::{Json, ObjWriter, Stage, TraceCtx, STAGES};
 use std::sync::Arc;
@@ -255,29 +257,15 @@ pub fn parse_run_request(body: &[u8], ctx: &RequestCtx) -> Result<RunRequest, Ru
         }
     };
 
-    let (resident, matrix_label) = match (v.get("matrix"), v.get("mtx")) {
-        (Some(_), Some(_)) => {
-            return Err(
-                AsapError::binding("give either \"matrix\" or inline \"mtx\", not both").into(),
-            )
-        }
-        (Some(_), None) => {
-            let name = want_str(&v, "matrix")?;
-            (resolve_named(ctx, name)?, name.to_string())
-        }
-        (None, Some(_)) => {
-            let text = want_str(&v, "mtx")?;
-            (resolve_inline(ctx, text)?, "inline".to_string())
-        }
-        (None, None) => {
-            return Err(AsapError::binding(
-                "a matrix is required: \"matrix\" (name or gen: spec) or inline \"mtx\"",
-            )
-            .into())
-        }
-    };
-
+    // Every field is checked before the matrix is resolved, so a
+    // request answered 400 never builds a matrix or enters the store.
     let distance = opt_usize(&v, "distance")?.unwrap_or(45);
+    if distance > MAX_PREFETCH_DISTANCE {
+        return Err(AsapError::binding(format!(
+            "field \"distance\" must be at most {MAX_PREFETCH_DISTANCE}"
+        ))
+        .into());
+    }
     let (strategy, strategy_label) = match v.get("strategy").map(|s| s.as_str()) {
         None => (PrefetchStrategy::asap(distance), "asap"),
         Some(Some("asap")) => (PrefetchStrategy::asap(distance), "asap"),
@@ -313,6 +301,28 @@ pub fn parse_run_request(body: &[u8], ctx: &RequestCtx) -> Result<RunRequest, Ru
         Some(n) => n.as_u64().ok_or_else(|| {
             AsapError::binding("field \"deadline_ms\" must be a non-negative integer")
         })?,
+    };
+
+    let (resident, matrix_label) = match (v.get("matrix"), v.get("mtx")) {
+        (Some(_), Some(_)) => {
+            return Err(
+                AsapError::binding("give either \"matrix\" or inline \"mtx\", not both").into(),
+            )
+        }
+        (Some(_), None) => {
+            let name = want_str(&v, "matrix")?;
+            (resolve_named(ctx, name)?, name.to_string())
+        }
+        (None, Some(_)) => {
+            let text = want_str(&v, "mtx")?;
+            (resolve_inline(ctx, text)?, "inline".to_string())
+        }
+        (None, None) => {
+            return Err(AsapError::binding(
+                "a matrix is required: \"matrix\" (name or gen: spec) or inline \"mtx\"",
+            )
+            .into())
+        }
     };
 
     Ok(RunRequest {
@@ -547,7 +557,7 @@ mod tests {
     #[test]
     fn rejects_bad_requests_with_typed_errors() {
         let fx = Fixture::new(64 * 1024 * 1024);
-        let cases: [(&[u8], &str); 9] = [
+        let cases: [(&[u8], &str); 11] = [
             (b"not json", "json"),
             (br#"[1,2]"#, "binding"),
             (br#"{"matrix":"gen:er:256:4"}"#, "binding"),
@@ -569,6 +579,16 @@ mod tests {
                 br#"{"kernel":"spmv","matrix":"gen:er:256:4","engine":"tree-walk"}"#,
                 "binding",
             ),
+            // Above MAX_PREFETCH_DISTANCE: `2 * distance` would overflow
+            // the compiler (2^63), or is past the bound (u32::MAX + 1).
+            (
+                br#"{"kernel":"spmv","matrix":"gen:er:256:4","distance":9223372036854775808}"#,
+                "binding",
+            ),
+            (
+                br#"{"kernel":"spmv","matrix":"gen:er:256:4","strategy":"aj","distance":4294967296}"#,
+                "binding",
+            ),
         ];
         for (body, kind) in cases {
             let e = parse_run_request(body, &fx.ctx()).unwrap_err();
@@ -581,6 +601,7 @@ mod tests {
                 e.message()
             );
         }
+        assert_eq!(fx.store.entries(), 0, "a 400 admits no matrix");
     }
 
     #[test]

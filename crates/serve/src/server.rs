@@ -33,7 +33,6 @@ use crate::matrix::MatrixCatalog;
 use crate::queue::{PushError, TenantScheduler, Work};
 use crate::reply::{Conn, Rejection, Reply, Tally, OVERLOADED};
 use crate::request::render_error;
-use crate::single_flight::SingleFlight;
 use crate::store::MatrixStore;
 use crate::supervisor::{
     panic_message, reaper_loop, supervisor_loop, Reaper, Supervisor, WorkerSlot,
@@ -170,7 +169,6 @@ pub(crate) struct Shared {
     wake_addr: SocketAddr,
     pub reaper_stop: AtomicBool,
     pub supervisor_stop: AtomicBool,
-    pub flights: SingleFlight,
     pub catalog: MatrixCatalog,
     pub reaper: Reaper,
     pub supervisor: Supervisor,
@@ -243,7 +241,6 @@ impl Server {
             wake_addr: SocketAddr::new(wake_ip, addr.port()),
             reaper_stop: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
-            flights: SingleFlight::new(),
             catalog: MatrixCatalog::new(cfg.size),
             reaper: Reaper::default(),
             flight: FlightRecorder::new(cfg.workers.max(1) + 1, cfg.flight_ring, cfg.flight_retain),
@@ -541,10 +538,8 @@ fn handle_connection(slot: &mut Option<Reply>, fingerprint: &AtomicU64) -> ConnO
         }
         ("GET", "/healthz") => reply.json(200, &healthz_body(shared)),
         ("GET", "/metrics") => {
-            // Refresh the occupancy gauges from the authoritative
-            // per-shard counters at scrape time, so a scrape always sees
-            // the live totals even if no traffic updated the gauges
-            // recently.
+            // Set the occupancy gauges at scrape time from the caches
+            // themselves, so a scrape always sees the live totals.
             let cache = asap_core::cache_stats_full();
             asap_obs::gauge_set("cache.bytes", cache.bytes as i64);
             asap_obs::gauge_set("serve.store.bytes", shared.store.bytes() as i64);

@@ -1,100 +1,32 @@
-//! Single-flight coalescing of concurrent same-kernel compiles.
-//!
-//! The sharded cache already deduplicates *sequential* compiles, but two
-//! workers racing on a cold key would both run the compiler (the cache
-//! deliberately compiles outside its locks). Under a request burst that
-//! is N-1 wasted compiles of the same kernel at the worst moment — cold
-//! start. Single-flight closes that gap: the first requester of a key
-//! becomes the leader and compiles; every concurrent requester of the
-//! same key parks on the flight and receives a clone of the leader's
-//! result.
-//!
-//! Determinism contract (asserted by `tests/serve.rs`): among N
-//! concurrent requests for one cold kernel, exactly one response reports
-//! `cache_hit: false` — the leader's. Followers were served by the
-//! coalesced compile (counted under `serve.coalesced`), and report
-//! `cache_hit: true` because they did not pay for a compile.
+//! The compile step under the name the benchmark crate imports. The
+//! compile cache itself coalesces concurrent compiles of one kernel
+//! (`asap-core::cache`, DESIGN.md §8.3, §11.3), and the daemon calls
+//! [`compile_for`] directly; this field-less facade exists only because
+//! the benchmark crate (`benchmark/`) imports `SingleFlight`.
 
 use asap_core::{compile_for, CompiledKernel, PrefetchStrategy, ServiceKernel};
 use asap_ir::AsapError;
 use asap_tensor::SparseTensor;
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
-
-type CompileResult = Result<(CompiledKernel, bool, u64), AsapError>;
+use std::sync::Arc;
 
 #[derive(Default)]
-struct Flight {
-    slot: Mutex<Option<CompileResult>>,
-    done: Condvar,
-}
-
-#[derive(Default)]
-pub struct SingleFlight {
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-}
+pub struct SingleFlight;
 
 impl SingleFlight {
     pub fn new() -> SingleFlight {
-        SingleFlight::default()
+        SingleFlight
     }
 
-    /// Compile the kernel for `sparse` under `strategy`, coalescing with
-    /// any concurrent identical compile. Returns `(kernel, cache_hit,
-    /// compile_ns)` with followers reporting `cache_hit = true`.
+    /// [`compile_for`]: `(kernel, cache_hit, compile_ns)`, where only
+    /// the caller that compiled the kernel reports `cache_hit = false`
+    /// and `compile_ns` is this caller's own wall time.
     pub fn compile(
         &self,
         kernel: ServiceKernel,
         sparse: &SparseTensor,
         strategy: &PrefetchStrategy,
-    ) -> CompileResult {
-        // Same identity the cache keys on: the kernel never depends on
-        // matrix *contents*, only format and width.
-        let key = format!(
-            "{:?}|{:?}|{:?}|{strategy:?}",
-            kernel.spec(),
-            sparse.format(),
-            sparse.index_width()
-        );
-        let (flight, leader) = {
-            let mut g = self.flights.lock().unwrap_or_else(|p| p.into_inner());
-            match g.get(&key) {
-                Some(f) => (f.clone(), false),
-                None => {
-                    let f = Arc::new(Flight::default());
-                    g.insert(key.clone(), f.clone());
-                    (f, true)
-                }
-            }
-        };
-
-        if leader {
-            let result = compile_for(kernel, sparse, strategy);
-            {
-                let mut slot = flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-                *slot = Some(result.clone());
-            }
-            flight.done.notify_all();
-            // Retire the flight so later requests go straight to the
-            // (now warm) cache instead of parking here.
-            self.flights
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&key);
-            result
-        } else {
-            asap_obs::counter_inc("serve.coalesced");
-            let mut slot = flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-            while slot.is_none() {
-                slot = flight.done.wait(slot).unwrap_or_else(|p| p.into_inner());
-            }
-            match slot.as_ref().unwrap() {
-                // A follower's compile cost is the wait, which it did not
-                // spend compiling: report a hit with zero compile time.
-                Ok((ck, _, _)) => Ok((ck.clone(), true, 0)),
-                Err(e) => Err(e.clone()),
-            }
-        }
+    ) -> Result<(Arc<CompiledKernel>, bool, u64), AsapError> {
+        compile_for(kernel, sparse, strategy)
     }
 }
 
@@ -134,9 +66,10 @@ mod tests {
             })
             .collect();
         let ops: Vec<usize> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        assert!(
-            misses.load(Ordering::Relaxed) <= 1,
-            "at most the leader misses"
+        assert_eq!(
+            misses.load(Ordering::Relaxed),
+            1,
+            "exactly the compiling caller misses"
         );
         assert!(
             ops.windows(2).all(|w| w[0] == w[1]),
@@ -167,9 +100,5 @@ mod tests {
         let (_, hit2, _) = sf.compile(ServiceKernel::Spmv, &sparse, &s).unwrap();
         assert!(!hit1, "cold key compiles");
         assert!(hit2, "warm key hits the cache, no flight needed");
-        assert!(
-            sf.flights.lock().unwrap().is_empty(),
-            "flights are retired once resolved"
-        );
     }
 }

@@ -10,7 +10,7 @@
 use asap_tensor::ValueKind;
 
 /// How a loop index behaves, as in `iterator_types` of `linalg.generic`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IteratorType {
     /// Appears in the output: iterations are independent.
     Parallel,
@@ -21,7 +21,7 @@ pub enum IteratorType {
 /// One operand's indexing: operand dimension `d` is indexed by loop index
 /// `map[d]` (an `affine_map<(i, j) -> (...)>` restricted to projections,
 /// which is all sparsification supports for sparse operands).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OperandSpec {
     pub map: Vec<usize>,
 }
@@ -40,7 +40,7 @@ impl OperandSpec {
 /// any number of dense inputs, producing a dense output:
 ///
 /// `out[...] += in0[...] * in1[...] * ...` under the value kind's semiring.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KernelSpec {
     pub name: String,
     /// Number of loop indices in the iteration space.
